@@ -94,15 +94,14 @@ void BM_DepthwiseConv(benchmark::State& state) {
 BENCHMARK(BM_DepthwiseConv)->Arg(64);
 
 // Contested shapes for the Conv2D use_gemm gate (src/nn/conv.cpp): shapes
-// near the measured direct/GEMM crossover, runnable under both paths via
-// set_gemm_mode. Re-run these (plus the K x icg x ocg x HW sweep described
-// in docs/method.md §11) before changing the gate constants.
-//   args: ocg, K, HW, mode (0 = legacy scalar paths, 1 = blocked GEMM)
+// near the measured direct/GEMM crossover, timed on the path the gate
+// picks. Re-run these (plus the K x icg x ocg x HW sweep described in
+// docs/method.md §11) before changing the gate constants.
+//   args: ocg, K, HW
 void BM_ConvCrossover(benchmark::State& state) {
   const int ocg = static_cast<int>(state.range(0));
   const int K = static_cast<int>(state.range(1));
   const int HW = static_cast<int>(state.range(2));
-  const GemmMode mode = state.range(3) == 0 ? GemmMode::kLegacy : GemmMode::kBlocked;
   const int groups = 4;  // grouped, so ocg stays small while the layer is real
   Conv2DLayer::Config cfg;
   cfg.in_channels = 8 * groups;
@@ -118,31 +117,23 @@ void BM_ConvCrossover(benchmark::State& state) {
   const Tensor x = random_tensor(Shape({1, cfg.in_channels, HW, HW}), 10);
   Tensor y(out_of(conv, x.shape()));
   const Tensor* ins[1] = {&x};
-  const GemmMode saved = gemm_mode();
-  set_gemm_mode(mode);
   for (auto _ : state) {
     conv.forward(ins, y);
     benchmark::DoNotOptimize(y.data());
   }
-  set_gemm_mode(saved);
   const Shape shapes[1] = {x.shape()};
   state.SetItemsProcessed(state.iterations() * conv.cost(shapes).macs);
 }
 BENCHMARK(BM_ConvCrossover)
     // Pointwise, few output channels: GEMM wins from ocg >= 2.
-    ->Args({2, 1, 16, 0})
-    ->Args({2, 1, 16, 1})
+    ->Args({2, 1, 16})
     // 3x3 at the ocg == 3 boundary: GEMM wins everywhere measured.
-    ->Args({3, 3, 16, 0})
-    ->Args({3, 3, 16, 1})
+    ->Args({3, 3, 16})
     // 5x5 at ocg == 3: break-even at 8x8 (gate keeps direct), GEMM past 16x16.
-    ->Args({3, 5, 8, 0})
-    ->Args({3, 5, 8, 1})
-    ->Args({3, 5, 16, 0})
-    ->Args({3, 5, 16, 1})
+    ->Args({3, 5, 8})
+    ->Args({3, 5, 16})
     // Comfortably past the crossover: the common zoo shape.
-    ->Args({16, 3, 16, 0})
-    ->Args({16, 3, 16, 1});
+    ->Args({16, 3, 16});
 
 void BM_InnerProduct(benchmark::State& state) {
   InnerProductLayer fc(1024, 256);

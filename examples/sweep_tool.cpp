@@ -18,8 +18,8 @@
 // snapshot to stderr (or embeds it under "metrics" with --json);
 // --trace FILE writes a Chrome-trace JSON (chrome://tracing / Perfetto).
 //
-// --validate executes every cell's plan on the INTEGER backend
-// (quant/qexec) and reports actual vs predicted accuracy drop per cell;
+// --validate executes every cell's plan on the INTEGER backend (the
+// unfused preset compile) and reports actual vs predicted accuracy drop per cell;
 // a cell conforms when its integer-executed drop stays within the
 // accuracy budget + the committed tolerance (kValidationTolerance).
 // Violations are flagged in the output (and exit status 3) so a CI lane

@@ -16,10 +16,10 @@
 # stage (off vs on, min-of-N) and fails the run when it exceeds 3%.
 #
 # BENCH_forward.json records min-of-N forward wall time per zoo network
-# (NiN, AlexNet, MobileNet) x batch {1, 8}, legacy scalar path vs blocked
-# GEMM path, plus the old/new max |diff| parity check — and the §17
-# graph-compiler columns: fused float (bitwise parity gate) and fused
-# int8 vs unfused int8, with per-row fusion counts and the
+# (NiN, AlexNet, MobileNet) x batch {1, 8} on the blocked GEMM path, the
+# unfused int16/int8 integer programs, and the §17 graph-compiler
+# columns: fused float (bitwise parity gate) and fused int8 vs unfused
+# int8, with per-row fusion counts and the
 # fused_int8_wins_batch1 serving claim. The manifest embeds the per-net
 # fusion counts (bench_forward --print-fusion) next to the kernel ISA.
 #

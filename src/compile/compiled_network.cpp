@@ -8,6 +8,21 @@
 #include "obs/stage_scope.hpp"
 
 namespace mupod {
+namespace {
+
+// Runs a conv/FC step through its explicit-epilogue entry point — only
+// dot-product layers are ever lowered or fused.
+template <typename Epilogue>
+void forward_dot(const Layer& layer, const Tensor& x, Tensor& out, const Epilogue& ep) {
+  if (layer.kind() == LayerKind::kConv) {
+    static_cast<const Conv2DLayer&>(layer).forward(x, out, ep);
+  } else {
+    assert(layer.kind() == LayerKind::kInnerProduct);
+    static_cast<const InnerProductLayer&>(layer).forward(x, out, ep);
+  }
+}
+
+}  // namespace
 
 CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
                                  const CompileOptions& opts)
@@ -113,8 +128,8 @@ Tensor CompiledNetwork::forward_captured(const Tensor& input,
 
 Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const {
   forwards_.fetch_add(1, std::memory_order_relaxed);
-  // Same cost currency as Network::forward / QuantizedNetwork::forward:
-  // compiled batches are forward passes charged to the caller's stage.
+  // Same cost currency as Network::forward: compiled batches are forward
+  // passes charged to the caller's stage.
   note_forwards(input.shape().n());
   if (metrics_enabled()) {
     static Counter& calls = metrics().counter("compile.forward.calls");
@@ -129,11 +144,6 @@ Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const
     cap->resize(static_cast<std::size_t>(n_steps));
   }
 
-  // Save/restore all thread-local gates so a compiled forward nested in
-  // other work leaves the calling thread exactly as it found it.
-  const ExecMode saved_mode = exec_mode();
-  const QLayerBinding* saved_binding = current_qlayer();
-  const FloatFusion* saved_fusion = current_float_fusion();
   std::atomic<std::int64_t> sat{0};
 
   for (int i = 0; i < n_steps; ++i) {
@@ -176,11 +186,7 @@ Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const
       b.store_lo = st.store_grid.lo;
       b.store_hi = st.store_grid.hi;
       b.relu = st.relu;
-      set_exec_mode(ExecMode::kInteger);
-      set_current_qlayer(&b);
-      st.layer->forward(ins, out);
-      set_current_qlayer(saved_binding);
-      set_exec_mode(saved_mode);
+      forward_dot(*st.layer, *ins[0], out, b);
     } else if (st.relu || !st.norm_scale.empty()) {
       FloatFusion fu;
       fu.relu = st.relu;
@@ -188,9 +194,7 @@ Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const
         fu.scale = st.norm_scale.data();
         fu.shift = st.norm_shift.data();
       }
-      set_current_float_fusion(&fu);
-      st.layer->forward(ins, out);
-      set_current_float_fusion(saved_fusion);
+      forward_dot(*st.layer, *ins[0], out, fu);
     } else {
       st.layer->forward(ins, out);
     }

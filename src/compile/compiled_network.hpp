@@ -2,23 +2,32 @@
 //
 // A program is a topologically ordered list of steps, one per surviving
 // source node. Each step borrows its Layer from the source network and
-// carries the fusion state the rewriter attached:
+// carries the fusion state the rewriter attached. Unfused steps run the
+// layer's virtual forward(); conv/FC steps with fusion or lowering run
+// the layer's explicit-epilogue entry point (nn/layers.hpp):
 //
-//   * float steps with a fused epilogue bind a FloatFusion (folded norm
-//     affine and/or ReLU) around the layer's forward — the layer applies
-//     it inside its store loops, bitwise identical to the separate
-//     layers;
+//   * float steps with a fused epilogue pass a FloatFusion (folded norm
+//     affine and/or ReLU) — the layer applies it inside its store loops,
+//     bitwise identical to the separate layers;
 //   * integer-lowered steps own their quantized operands (norm-folded
-//     where fold-norm fired) and bind an extended QLayerBinding: fused
-//     ReLU, carrier input (in_quantized skips quantize-on-load), and
+//     where fold-norm fired) and pass a QLayerBinding: fused ReLU,
+//     carrier input (in_quantized skips quantize-on-load), and
 //     cross-layer requantized store (quant_store writes integers on the
 //     consumer's grid). Interior tensors of a fused region hold carrier
 //     integers bit-cast inside the ordinary float Tensor buffers; their
 //     logical (float) shapes are preserved so downstream output_shape
 //     computations are unchanged.
 //
-// Determinism inherits qexec's contract: forward() is bitwise independent
-// of the worker count, and integer steps are byte-identical across ISAs.
+// Tensors between unfused lowered layers stay float (the float-carrier
+// convention): each such boundary is a requantization point, so the
+// unfused preset (unfused_integer_options) realizes precisely the
+// per-layer formats the allocator chose, and layers the plan does not
+// cover (pool, LRN, softmax, eltwise...) run their float forward.
+//
+// Determinism: quantize-on-load chunks write disjoint ranges and the
+// saturation total is an order-free sum, and qgemm is bit-deterministic
+// by contract — so forward() is bitwise independent of the worker count,
+// and integer steps are byte-identical across ISAs.
 #pragma once
 
 #include <atomic>
@@ -27,7 +36,7 @@
 
 #include "compile/graph_compiler.hpp"
 #include "nn/network.hpp"
-#include "quant/qexec.hpp"
+#include "quant/lowering.hpp"
 #include "tensor/qgemm.hpp"
 
 namespace mupod {

@@ -299,6 +299,14 @@ CompiledGraph GraphCompiler::rewrite_with_order(const Network& net,
   return g;
 }
 
+CompileOptions unfused_integer_options(int weight_bits) {
+  CompileOptions o;
+  o.weight_bits = weight_bits;
+  o.fold_norm = false;
+  o.elide_requant = false;
+  return o;
+}
+
 CompiledNetwork GraphCompiler::compile(const Network& net) const {
   return compile(net, {}, {});
 }

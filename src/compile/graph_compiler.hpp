@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "nn/network.hpp"
-#include "quant/qexec.hpp"
+#include "quant/lowering.hpp"
 
 namespace mupod {
 
@@ -56,6 +56,15 @@ struct CompileOptions {
   bool fuse_relu = true;
   bool elide_requant = true;
 };
+
+// The unfused integer preset: the per-layer plan exactly as the allocator
+// chose it. Every lowered layer quantizes its float input on load and
+// dequantizes on store (no requantize elision), and norms stay separate
+// float layers, so each weight format is derived from the layer's own
+// weights (no folding). Only the bit-invisible rules stay on: dropped
+// noops and ReLU in the store epilogue. Plan validation measures
+// integer_accuracy / lowered_layers / act_saturated on this program.
+CompileOptions unfused_integer_options(int weight_bits);
 
 // The permutable structural rules (see rewrite_with_order).
 enum class RewriteRule { kDropNoop, kFoldNorm, kFuseReLU };
@@ -140,10 +149,9 @@ class GraphCompiler {
 
   // Rewrite + lower into an executable program. The float overload emits
   // no integer steps; the plan-aware overload lowers every formatted
-  // weight-bearing node exactly as QuantizedNetwork does (byte-identical
-  // operands via lower_layer_operands), on norm-folded weights where
-  // fold-norm fired. The source network is borrowed and never mutated —
-  // it must outlive the CompiledNetwork.
+  // weight-bearing node through lower_layer_operands, on norm-folded
+  // weights where fold-norm fired. The source network is borrowed and
+  // never mutated — it must outlive the CompiledNetwork.
   CompiledNetwork compile(const Network& net) const;
   CompiledNetwork compile(const Network& net, const std::vector<int>& analyzed,
                           const std::vector<FixedPointFormat>& formats) const;

@@ -129,7 +129,7 @@ class AnalysisHarness {
   // Accuracy of an arbitrary executor over the same eval set and the same
   // references: `forward_fn` maps an eval batch's images to final-node
   // logits. Used by plan validation to measure the INTEGER-executed
-  // network (quant/qexec) against exactly the measurement the emulated
+  // compiled program against exactly the measurement the emulated
   // pipeline used. Forward passes are charged to forward_count().
   double accuracy_with_executor(const std::function<Tensor(const Tensor&)>& forward_fn) const;
 

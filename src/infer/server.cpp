@@ -117,7 +117,6 @@ std::uint64_t InferenceServer::install_plan(const std::string& name,
     net = it->second.net;
     analyzed = it->second.analyzed;
   }
-  auto qnet = std::make_shared<const QuantizedNetwork>(*net, analyzed, formats, opts);
   CompileOptions copts;
   copts.weight_bits = opts.weight_bits;
   auto cnet = std::make_shared<const CompiledNetwork>(
@@ -125,7 +124,6 @@ std::uint64_t InferenceServer::install_plan(const std::string& name,
 
   std::unique_lock lk(models_mu_);
   ModelEntry& e = models_.at(name);
-  e.qnet = std::move(qnet);
   e.compiled_int = std::move(cnet);
   e.plan_version += 1;
   plan_swaps_.fetch_add(1, std::memory_order_relaxed);

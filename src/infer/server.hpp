@@ -1,5 +1,5 @@
-// InferenceServer: the online request-serving layer over QuantizedNetwork
-// and Network.
+// InferenceServer: the online request-serving layer over compiled float
+// and integer programs (compile/compiled_network.hpp).
 //
 // Everything below this layer is batch-shaped: the pipeline computes
 // plans, PlanService caches them, the cluster shards them — but nothing
@@ -34,9 +34,9 @@
 //    COMPILED artifacts (compile/graph_compiler.hpp): registration
 //    compiles the float network (fused ReLU/norm epilogues, bitwise
 //    identical to Network::forward), and install_plan lowers a precision
-//    plan (directly or via PlanService) into a QuantizedNetwork plus a
-//    fused CompiledNetwork — requantize elision keeps activations integer
-//    across fused regions — and swaps both in under the write lock.
+//    plan (directly or via PlanService) into a fused CompiledNetwork —
+//    requantize elision keeps activations integer across fused regions —
+//    and swaps it in under the write lock.
 //    Executing batches hold shared_ptr snapshots, so a hot-swap never
 //    stalls in-flight work and an in-flight batch never sees a
 //    half-installed plan; each result records the plan_version it was
@@ -72,7 +72,7 @@
 #include "core/fault.hpp"
 #include "infer/batch_policy.hpp"
 #include "obs/trace.hpp"
-#include "quant/qexec.hpp"
+#include "quant/lowering.hpp"
 #include "serve/plan_service.hpp"
 #include "tensor/tensor.hpp"
 
@@ -95,7 +95,7 @@ const char* infer_status_name(InferStatus s);
 // Which execution path a request rides.
 enum class InferBackend {
   kFloat,    // registered Network, fp32 GEMM path
-  kInteger,  // installed QuantizedNetwork (requires install_plan first)
+  kInteger,  // installed integer plan, compiled (requires install_plan first)
 };
 
 const char* infer_backend_name(InferBackend b);
@@ -189,8 +189,8 @@ class InferenceServer {
   void register_model(const std::string& name, const Network& net, std::vector<int> analyzed);
 
   // Hot-swaps the integer path: lowers `formats` (paired with the model's
-  // analyzed nodes) into a fresh QuantizedNetwork and swaps it in under
-  // the registry write lock. In-flight batches keep the snapshot they
+  // analyzed nodes) into a fresh fused CompiledNetwork and swaps it in
+  // under the registry write lock. In-flight batches keep the snapshot they
   // picked up. Returns the new plan version (1, 2, ...).
   std::uint64_t install_plan(const std::string& name, const std::vector<FixedPointFormat>& formats,
                              const QExecOptions& opts = {});
@@ -240,9 +240,8 @@ class InferenceServer {
     // Fused float artifact (graph compiler), built at registration — the
     // float path serves this, bitwise identical to net->forward.
     std::shared_ptr<const CompiledNetwork> compiled_float;
-    std::shared_ptr<const QuantizedNetwork> qnet;  // null until install_plan
-    // Fused integer artifact for the installed plan; recompiled by every
-    // install_plan (hot-swap) alongside qnet.
+    // Fused integer artifact for the installed plan; null until
+    // install_plan, recompiled by every install_plan (hot-swap).
     std::shared_ptr<const CompiledNetwork> compiled_int;
     std::uint64_t plan_version = 0;
   };

@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 #include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
@@ -100,35 +98,11 @@ void im2col_group(const T* ximg, int icg, int H, int W, int KH, int KW, int stri
   }
 }
 
-// Quantizes a whole activation tensor into the calling thread's qact
-// arena slot (saturating round-to-nearest onto the plan's I.F grid).
-// Chunk-parallel and deterministic: chunks write disjoint ranges and the
-// saturation total is order-independent.
-template <typename T>
-const T* quantize_activations(const QLayerBinding& q, const float* xdata, std::int64_t numel) {
-  T* xq = reinterpret_cast<T*>(
-      GemmScratch::local().qact(static_cast<std::size_t>(numel) * sizeof(T)));
-  std::atomic<std::int64_t> sat{0};
-  const auto body = [&](std::int64_t b, std::int64_t e) {
-    const std::int64_t s =
-        quantize_to(q.type, xdata + b, e - b, q.act_step, q.act_lo, q.act_hi, xq + b);
-    if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
-  };
-  if (numel >= (1 << 14))
-    parallel_for_chunked(0, numel, body);
-  else
-    body(0, numel);
-  const std::int64_t total = sat.load(std::memory_order_relaxed);
-  if (total != 0 && q.act_saturated != nullptr)
-    q.act_saturated->fetch_add(total, std::memory_order_relaxed);
-  return xq;
-}
-
 // Integer conv: quantize-on-load once, then per (image, group) an integer
 // im2col feeds one qgemm whose epilogue adds the accumulator-scale bias
-// and dequantizes on store. Every conv shape takes this route in integer
-// mode (no direct-path crossover: the MACs must run in integer
-// arithmetic, and a depthwise qgemm is still exact, just not optimal).
+// and dequantizes on store. Every lowered conv shape takes this route
+// (no direct-path crossover: the MACs must run in integer arithmetic, and
+// a depthwise qgemm is still exact, just not optimal).
 template <typename T>
 void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q,
                           const Tensor& x, Tensor& out) {
@@ -145,11 +119,9 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
   const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
   const bool is_pointwise = KH == 1 && KW == 1 && stride == 1 && pad == 0;
 
-  // Fused-region input: the producer already stored `type` integers on
-  // this layer's activation grid (bit-cast in the float buffer), so the
-  // quantize-on-load pass — and its memory traffic — disappears.
-  const T* xq = q.in_quantized ? reinterpret_cast<const T*>(x.data())
-                               : quantize_activations<T>(q, x.data(), x.numel());
+  // A fused-region input already holds `type` integers on this layer's
+  // grid (bit-cast in the float buffer): no quantize-on-load pass.
+  const T* xq = static_cast<const T*>(quantize_layer_input(q, x.data(), x.numel()));
   const T* wq = static_cast<const T*>(q.weights);
   float* ydata = out.data();
 
@@ -197,7 +169,7 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
 
 }  // namespace
 
-void Conv2DLayer::forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const {
+void Conv2DLayer::forward(const Tensor& x, Tensor& out, const QLayerBinding& q) const {
   switch (q.type) {
     case QType::kInt8: conv_forward_integer<std::int8_t>(cfg_, q, x, out); break;
     case QType::kInt16: conv_forward_integer<std::int16_t>(cfg_, q, x, out); break;
@@ -206,13 +178,10 @@ void Conv2DLayer::forward_integer(const QLayerBinding& q, const Tensor& x, Tenso
 }
 
 void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const {
-  const Tensor& x = *in[0];
-  if (exec_mode() == ExecMode::kInteger) {
-    if (const QLayerBinding* q = current_qlayer(); q != nullptr && q->weights != nullptr) {
-      forward_integer(*q, x, out);
-      return;
-    }
-  }
+  forward(*in[0], out, FloatFusion{});
+}
+
+void Conv2DLayer::forward(const Tensor& x, Tensor& out, const FloatFusion& fu) const {
   const int N = x.shape().n(), C = x.shape().c(), H = x.shape().h(), W = x.shape().w();
   const int OC = out.shape().c(), OH = out.shape().h(), OW = out.shape().w();
   const int KH = cfg_.kernel_h, KW = cfg_.kernel_w;
@@ -221,23 +190,16 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
   const int icg = C / groups;   // input channels per group
   const int ocg = OC / groups;  // output channels per group
 
-  // Fused float epilogue (folded norm affine and/or ReLU), bound by the
-  // compiled executor on the calling thread. Read once here so the pool
-  // workers below see it via capture, not via their own thread-locals.
-  const FloatFusion* fu = current_float_fusion();
-  const bool fu_relu = fu != nullptr && fu->relu;
-  const float* fu_scale = fu != nullptr ? fu->scale : nullptr;
-  const float* fu_shift = fu != nullptr ? fu->shift : nullptr;
   // Per-output-plane epilogue: the exact BatchNormScaleLayer expression
   // followed by the exact ReLULayer expression, so fused == separate
   // layers bitwise. `oc` is the global output channel.
   const auto fuse_plane = [&](float* yplane, std::int64_t count, int oc) {
-    if (fu_scale != nullptr) {
-      const float a = fu_scale[oc];
-      const float b = fu_shift[oc];
+    if (fu.scale != nullptr) {
+      const float a = fu.scale[oc];
+      const float b = fu.shift[oc];
       for (std::int64_t i = 0; i < count; ++i) yplane[i] = yplane[i] * a + b;
     }
-    if (fu_relu)
+    if (fu.relu)
       for (std::int64_t i = 0; i < count; ++i) yplane[i] = yplane[i] > 0.0f ? yplane[i] : 0.0f;
   };
 
@@ -251,7 +213,6 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
 
   const std::int64_t k_dim = static_cast<std::int64_t>(icg) * KH * KW;
   const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
-  const bool legacy = gemm_mode() == GemmMode::kLegacy;
 
   // A 1x1/stride-1/pad-0 conv is already a GEMM over the input planes —
   // no patch expansion needed (OH*OW == H*W).
@@ -273,9 +234,7 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
   //     im2col inflates reads 9-25x with only one output row to reuse the
   //     panel — the direct loop keeps it.
   bool use_gemm;
-  if (legacy) {
-    use_gemm = ocg >= 4 && k_dim >= 9 && spatial >= 16;
-  } else if (is_pointwise) {
+  if (is_pointwise) {
     use_gemm = ocg >= 2 || k_dim >= 2 || spatial >= 512;
   } else {
     const std::int64_t karea = static_cast<std::int64_t>(KH) * KW;
@@ -283,7 +242,7 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
                (ocg == 2 && karea <= 9 && spatial >= 1024);
   }
 
-  if (use_gemm && !legacy) {
+  if (use_gemm) {
     // im2col (skipped for pointwise) followed by one blocked GEMM per
     // (image, group): Y[ocg x OH*OW] = W[ocg x k_dim] · col[k_dim x OH*OW].
     // With enough (image, group) jobs to fill the pool the outer loop
@@ -318,8 +277,8 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
         // the post-loop with the ReLU behind it.
         gemm(ocg, spatial, k_dim, wdata + static_cast<std::int64_t>(g) * ocg * k_dim, k_dim,
              bmat, spatial, beta, yg, spatial, /*trans_b=*/false,
-             /*relu=*/fu_relu && fu_scale == nullptr);
-        if (fu_scale != nullptr)
+             /*relu=*/fu.relu && fu.scale == nullptr);
+        if (fu.scale != nullptr)
           for (int oc_local = 0; oc_local < ocg; ++oc_local)
             fuse_plane(yg + static_cast<std::int64_t>(oc_local) * spatial, spatial,
                        g * ocg + oc_local);
@@ -329,37 +288,6 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
       parallel_for_chunked(0, jobs, body);
     else
       body(0, jobs);
-    return;
-  }
-
-  if (use_gemm) {
-    // Legacy blocked-less path (kept for bench_forward's old-vs-new
-    // trajectory): im2col + rank-1 axpy sweep over the output plane.
-    parallel_for_chunked(0, static_cast<std::int64_t>(N) * groups,
-                         [&](std::int64_t b, std::int64_t e) {
-      std::vector<float> col(static_cast<std::size_t>(k_dim * spatial));
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const int n = static_cast<int>(idx / groups);
-        const int g = static_cast<int>(idx % groups);
-        const float* ximg = xdata + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
-        im2col_rows(ximg, H, W, KH, KW, stride, pad, OH, OW, col.data(), 0, k_dim);
-
-        for (int oc_local = 0; oc_local < ocg; ++oc_local) {
-          const int oc = g * ocg + oc_local;
-          const float* wrow = wdata + static_cast<std::int64_t>(oc) * k_dim;
-          float* yplane = ydata + n * y_img + static_cast<std::int64_t>(oc) * spatial;
-          const float bias = bdata != nullptr ? bdata[oc] : 0.0f;
-          std::fill(yplane, yplane + spatial, bias);
-          for (std::int64_t k = 0; k < k_dim; ++k) {
-            const float a = wrow[k];
-            if (a == 0.0f) continue;
-            const float* crow = col.data() + k * spatial;
-            for (std::int64_t j = 0; j < spatial; ++j) yplane[j] += a * crow[j];
-          }
-          fuse_plane(yplane, spatial, oc);
-        }
-      }
-    });
     return;
   }
 

@@ -1,10 +1,8 @@
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/parallel.hpp"
 #include "tensor/qgemm.hpp"
 
 namespace mupod {
@@ -36,31 +34,9 @@ template <typename T>
 void ip_forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out,
                         int in_f, int out_f) {
   const int N = x.shape().dim(0);
-  const std::int64_t numel = x.numel();
-  const T* xq;
-  if (q.in_quantized) {
-    // Fused-region input: the producer already stored `type` integers on
-    // this layer's grid — no quantize-on-load pass.
-    xq = reinterpret_cast<const T*>(x.data());
-  } else {
-    T* buf = reinterpret_cast<T*>(
-        GemmScratch::local().qact(static_cast<std::size_t>(numel) * sizeof(T)));
-    std::atomic<std::int64_t> sat{0};
-    const auto body = [&](std::int64_t b, std::int64_t e) {
-      const std::int64_t s =
-          quantize_to(q.type, x.data() + b, e - b, q.act_step, q.act_lo, q.act_hi, buf + b);
-      if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
-    };
-    if (numel >= (1 << 14))
-      parallel_for_chunked(0, numel, body);
-    else
-      body(0, numel);
-    const std::int64_t total = sat.load(std::memory_order_relaxed);
-    if (total != 0 && q.act_saturated != nullptr)
-      q.act_saturated->fetch_add(total, std::memory_order_relaxed);
-    xq = buf;
-  }
-
+  // A fused-region input already holds `type` integers on this layer's
+  // grid: no quantize-on-load pass.
+  const T* xq = static_cast<const T*>(quantize_layer_input(q, x.data(), x.numel()));
   const T* wq = static_cast<const T*>(q.weights);
   QGemmEpilogue ep;
   ep.scale = q.acc_scale;
@@ -87,8 +63,7 @@ void ip_forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out,
 
 }  // namespace
 
-void InnerProductLayer::forward_integer(const QLayerBinding& q, const Tensor& x,
-                                        Tensor& out) const {
+void InnerProductLayer::forward(const Tensor& x, Tensor& out, const QLayerBinding& q) const {
   switch (q.type) {
     case QType::kInt8:
       ip_forward_integer<std::int8_t>(q, x, out, in_features_, out_features_);
@@ -103,43 +78,16 @@ void InnerProductLayer::forward_integer(const QLayerBinding& q, const Tensor& x,
 }
 
 void InnerProductLayer::forward(std::span<const Tensor* const> in, Tensor& out) const {
-  const Tensor& x = *in[0];
-  if (exec_mode() == ExecMode::kInteger) {
-    if (const QLayerBinding* q = current_qlayer(); q != nullptr && q->weights != nullptr) {
-      forward_integer(*q, x, out);
-      return;
-    }
-  }
+  forward(*in[0], out, FloatFusion{});
+}
+
+void InnerProductLayer::forward(const Tensor& x, Tensor& out, const FloatFusion& fu) const {
   const int N = x.shape().dim(0);
   const float* xdata = x.data();
   const float* wdata = weights_.data();
   const float* bdata = has_bias_ ? bias_.data() : nullptr;
   float* ydata = out.data();
   const int in_f = in_features_, out_f = out_features_;
-
-  // Fused float ReLU (norm never follows an inner product — BatchNormScale
-  // is rank-4-only — so only the relu flag can be bound here).
-  const FloatFusion* fu = current_float_fusion();
-  const bool fu_relu = fu != nullptr && fu->relu;
-
-  if (gemm_mode() == GemmMode::kLegacy) {
-    // Legacy per-row dot product (kept for bench_forward's old-vs-new
-    // trajectory).
-    parallel_for_chunked(0, static_cast<std::int64_t>(N) * out_f,
-                         [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const int n = static_cast<int>(idx / out_f);
-        const int o = static_cast<int>(idx % out_f);
-        const float* xrow = xdata + static_cast<std::int64_t>(n) * in_f;
-        const float* wrow = wdata + static_cast<std::int64_t>(o) * in_f;
-        float acc = bdata != nullptr ? bdata[o] : 0.0f;
-        for (int i = 0; i < in_f; ++i) acc += xrow[i] * wrow[i];
-        if (fu_relu) acc = acc > 0.0f ? acc : 0.0f;
-        ydata[idx] = acc;
-      }
-    });
-    return;
-  }
 
   // Seed the output with the bias (beta = 1 accumulates onto it), then one
   // blocked GEMM covers the whole batch.
@@ -154,12 +102,12 @@ void InnerProductLayer::forward(std::span<const Tensor* const> in, Tensor& out) 
     // dimension (out_f) carries the register tiles — y (1 x out_f) and
     // yᵀ (out_f x 1) share the same memory.
     gemm(out_f, 1, in_f, wdata, in_f, xdata, 1, beta, ydata, 1,
-         /*trans_b=*/false, /*relu=*/fu_relu);
+         /*trans_b=*/false, /*relu=*/fu.relu);
   } else {
     // Y[N x out_f] = X[N x in_f] · Wᵀ; packing absorbs the transpose of
     // the (out, in) weight matrix.
     gemm(N, out_f, in_f, xdata, in_f, wdata, in_f, beta, ydata, out_f,
-         /*trans_b=*/true, /*relu=*/fu_relu);
+         /*trans_b=*/true, /*relu=*/fu.relu);
   }
 }
 

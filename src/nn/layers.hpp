@@ -9,10 +9,9 @@
 
 namespace mupod {
 
-// Integer operands bound around a layer's forward by the quantized
-// executor (tensor/qgemm.hpp). The dot-product layers dispatch to their
-// integer path when exec_mode() == ExecMode::kInteger and a binding is
-// set on the calling thread.
+// Store epilogue / integer operands of the dot-product layers' inference
+// entry points (tensor/qgemm.hpp).
+struct FloatFusion;
 struct QLayerBinding;
 
 // ---------------------------------------------------------------------------
@@ -62,9 +61,15 @@ class Conv2DLayer final : public Layer {
 
   const Config& config() const { return cfg_; }
 
- private:
-  void forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const;
+  // Inference entry points with an explicit epilogue, called by the
+  // compiled executor (compile/compiled_network.hpp) for fused and
+  // integer-lowered steps. The virtual forward() is the float path with
+  // the plain store: forward(x, out, FloatFusion{}).
+  void forward(const Tensor& x, Tensor& out, const FloatFusion& fu) const;
+  // Integer dot products on the binding's lowered operands.
+  void forward(const Tensor& x, Tensor& out, const QLayerBinding& q) const;
 
+ private:
   Config cfg_;
   Tensor weights_;  // (out_c, in_c/groups, kh, kw)
   Tensor bias_;     // (out_c) stored as rank-1
@@ -90,9 +95,12 @@ class InnerProductLayer final : public Layer {
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
 
- private:
-  void forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const;
+  // Inference entry points, as for Conv2DLayer. Only fu.relu applies:
+  // BatchNormScale is rank-4-only, so no norm ever folds into an FC.
+  void forward(const Tensor& x, Tensor& out, const FloatFusion& fu) const;
+  void forward(const Tensor& x, Tensor& out, const QLayerBinding& q) const;
 
+ private:
   int in_features_, out_features_;
   bool has_bias_;
   Tensor weights_;  // (out, in)

@@ -8,7 +8,6 @@
 #include "hw/energy_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "quant/qexec.hpp"
 
 namespace mupod {
 
@@ -528,9 +527,9 @@ LoweredPlan PlanService::lower_plan(const PlanKey& key, const PlanQuery& query) 
     net = e.net;
     analyzed = &e.analyzed;
   }
-  QExecOptions qopts;
-  qopts.weight_bits = cfg_.weight_bits;
-  lp.qnet = std::make_shared<QuantizedNetwork>(*net, *analyzed, lp.plan.alloc.formats, qopts);
+  lp.unfused = std::make_shared<CompiledNetwork>(
+      GraphCompiler(unfused_integer_options(cfg_.weight_bits))
+          .compile(*net, *analyzed, lp.plan.alloc.formats));
   CompileOptions copts;
   copts.weight_bits = cfg_.weight_bits;
   lp.compiled = std::make_shared<CompiledNetwork>(
@@ -572,13 +571,13 @@ PlanValidation PlanService::validate_plan(const PlanKey& key, const PlanQuery& q
     v.emulated_accuracy = harness->accuracy_with_injection(inject);
   }
 
-  // Ground truth: the lowered integer network runs the SAME eval set
+  // Ground truth: the unfused integer program runs the SAME eval set
   // against the SAME references.
-  QuantizedNetwork& qnet = *lp.qnet;
-  v.lowered_layers = qnet.num_lowered();
+  const CompiledNetwork& unfused = *lp.unfused;
+  v.lowered_layers = unfused.coverage().lowered;
   v.integer_accuracy =
-      harness->accuracy_with_executor([&](const Tensor& x) { return qnet.forward(x); });
-  v.act_saturated = qnet.act_saturated();
+      harness->accuracy_with_executor([&](const Tensor& x) { return unfused.forward(x); });
+  v.act_saturated = unfused.act_saturated();
 
   // Compiled path: the fused artifact the inference server serves, run on
   // the SAME eval set — the plan is only conformant if the artifact that

@@ -47,7 +47,6 @@
 #include "hw/accelerator_sim.hpp"
 #include "io/plan_io.hpp"
 #include "io/profile_io.hpp"
-#include "quant/qexec.hpp"
 
 namespace mupod {
 
@@ -114,8 +113,9 @@ struct PlanResult {
   bool plan_cached = false;
 };
 
-// Result of executing a plan on the INTEGER backend (quant/qexec) and
-// comparing against what the emulated pipeline predicted. The committed
+// Result of executing a plan on the INTEGER backend (the unfused preset
+// compile, compile/graph_compiler.hpp) and comparing against what the
+// emulated pipeline predicted. The committed
 // conformance contract: integer_drop <= query.accuracy_target +
 // tolerance, where tolerance defaults to kValidationTolerance and covers
 // the emulated-vs-executed gap (integer MACs + requantized boundaries vs
@@ -126,7 +126,7 @@ struct PlanValidation {
   double tolerance = 0.0;    // budget slack this validation applied
   double float_accuracy = 1.0;
   double emulated_accuracy = -1.0;  // kQuantize-injection accuracy (fp32 MACs)
-  double integer_accuracy = -1.0;   // integer-executed accuracy (qexec)
+  double integer_accuracy = -1.0;   // integer-executed accuracy (unfused)
   double predicted_drop = 0.0;      // the plan's accuracy_loss estimate
   double emulated_drop = 0.0;       // measured, emulated path
   double integer_drop = 0.0;        // measured, integer path
@@ -149,19 +149,18 @@ struct PlanValidation {
 // integer_drop to accuracy_target + this.
 inline constexpr double kValidationTolerance = 0.02;
 
-// A plan answer lowered onto the integer backend (quant/qexec,
-// cfg.weight_bits weights): the query's per-layer formats bound to the
-// entry's registered Network as a ready-to-run QuantizedNetwork. The
-// lowered network borrows that Network — which the caller already
-// guarantees outlives the service — so the shared_ptr may be handed to
-// long-lived consumers (the inference server holds one per serving
-// snapshot and hot-swaps it on plan refresh).
+// A plan answer lowered onto the integer backend (cfg.weight_bits
+// weights): the query's per-layer formats bound to the entry's registered
+// Network as two ready-to-run compiled programs. Both borrow that Network
+// — which the caller already guarantees outlives the service — so the
+// shared_ptrs may be handed to long-lived consumers.
 struct LoweredPlan {
   PlanResult plan;
-  std::shared_ptr<QuantizedNetwork> qnet;
-  // The fused artifact for the same plan (graph compiler: norm folding,
-  // ReLU epilogues, cross-layer requantize). This is what the inference
-  // server serves; qnet stays the unfused reference executor.
+  // The unfused preset (unfused_integer_options): the plan exactly as
+  // allocated, every layer boundary a dequantize/quantize pair.
+  std::shared_ptr<CompiledNetwork> unfused;
+  // The fused artifact for the same plan (norm folding, ReLU epilogues,
+  // cross-layer requantize) — what the inference server serves.
   std::shared_ptr<CompiledNetwork> compiled;
 };
 
@@ -243,17 +242,17 @@ class PlanService {
   // on first need), then the cheap allocate+validate tail. Thread-safe.
   PlanResult plan(const PlanKey& key, const PlanQuery& query);
 
-  // plan() plus lowering: answers the query and binds the resulting
-  // formats to the registered network on the integer backend. Thread-safe;
+  // plan() plus lowering: answers the query and compiles the resulting
+  // formats over the registered network, unfused and fused. Thread-safe;
   // the plan itself is memoized as usual, the lowering is built fresh per
   // call (each consumer owns its snapshot). validate_plan executes through
-  // this; InferenceServer::install_plan serves from it.
+  // this.
   LoweredPlan lower_plan(const PlanKey& key, const PlanQuery& query);
 
   // plan() plus ground truth: lowers the answer onto the integer backend
-  // (quant/qexec, cfg.weight_bits weights), runs the eval set through the
-  // integer-executed network on the entry's own harness, and reports the
-  // actual vs predicted accuracy drop. Thread-safe; the plan itself is
+  // (cfg.weight_bits weights), runs the eval set through both compiled
+  // programs on the entry's own harness, and reports the actual vs
+  // predicted accuracy drop. Thread-safe; the plan itself is
   // memoized as usual (the integer execution is not — it IS the check).
   PlanValidation validate_plan(const PlanKey& key, const PlanQuery& query,
                                double tolerance = kValidationTolerance);

@@ -3,9 +3,8 @@
 // Every stage of the pipeline — λ/θ profiling, the sigma binary search,
 // the objective sweeps — bottoms out in Network::forward, and the stage
 // accounting of the observability layer shows the forward passes carry
-// nearly all wall time. This kernel replaces the scalar rank-1 update in
-// Conv2DLayer::forward and the per-row dot product in
-// InnerProductLayer::forward with one blocked matrix multiply:
+// nearly all wall time. Conv2DLayer (after im2col) and InnerProductLayer
+// run their dot products as one blocked matrix multiply:
 //
 //   C (m x n) = A (m x k) · B (k x n)  +  beta · C
 //
@@ -33,15 +32,6 @@
 #include <vector>
 
 namespace mupod {
-
-// Forward-kernel selection. kBlocked is the packed GEMM above; kLegacy
-// keeps the pre-GEMM scalar paths alive (rank-1 im2col update in conv,
-// per-row dot in inner product) so bench_forward can measure the old/new
-// trajectory on the same binary. Not thread-safe: flip at startup or
-// between forwards, never while one is running.
-enum class GemmMode { kBlocked, kLegacy };
-GemmMode gemm_mode();
-void set_gemm_mode(GemmMode m);
 
 // The compile-time blocking actually built into this binary (micro-tile
 // MR x NR, cache blocks MC/KC/NC). Exposed so tests can cover the

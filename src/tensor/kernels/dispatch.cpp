@@ -67,8 +67,8 @@ KernelIsa startup_isa() {
   return detected_kernel_isa();
 }
 
-// Relaxed atomic, same discipline as GemmMode: reads are per-call cheap,
-// writes happen at startup or between forwards only.
+// Relaxed atomic: reads are per-call cheap, writes happen at startup or
+// between forwards only.
 std::atomic<KernelIsa>& active_isa() {
   static std::atomic<KernelIsa> isa{startup_isa()};
   return isa;

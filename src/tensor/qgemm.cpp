@@ -30,10 +30,6 @@ constexpr std::int64_t kSerialMacCutoff = 1 << 16;
 
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-thread_local ExecMode t_exec_mode = ExecMode::kFloat;
-thread_local const QLayerBinding* t_qlayer = nullptr;
-thread_local const FloatFusion* t_float_fusion = nullptr;
-
 struct QGemmCounters {
   Counter* calls;
   Counter* macs;
@@ -587,15 +583,6 @@ bool qgemm16_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int
 
 }  // namespace
 
-ExecMode exec_mode() { return t_exec_mode; }
-void set_exec_mode(ExecMode m) { t_exec_mode = m; }
-
-const QLayerBinding* current_qlayer() { return t_qlayer; }
-void set_current_qlayer(const QLayerBinding* b) { t_qlayer = b; }
-
-const FloatFusion* current_float_fusion() { return t_float_fusion; }
-void set_current_float_fusion(const FloatFusion* f) { t_float_fusion = f; }
-
 const char* qtype_name(QType t) {
   switch (t) {
     case QType::kInt8: return "int8";
@@ -751,6 +738,26 @@ std::int64_t quantize_to(QType type, const float* x, std::int64_t n, double step
       return quantize_to_t(x, n, step, lo, hi, static_cast<std::int32_t*>(out));
   }
   return 0;
+}
+
+const void* quantize_layer_input(const QLayerBinding& q, const float* x, std::int64_t numel) {
+  if (q.in_quantized) return x;
+  const std::size_t elem = qtype_bytes(q.type);
+  unsigned char* xq = GemmScratch::local().qact(static_cast<std::size_t>(numel) * elem);
+  std::atomic<std::int64_t> sat{0};
+  const auto body = [&](std::int64_t b, std::int64_t e) {
+    const std::int64_t s = quantize_to(q.type, x + b, e - b, q.act_step, q.act_lo, q.act_hi,
+                                       xq + static_cast<std::size_t>(b) * elem);
+    if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
+  };
+  if (numel >= (1 << 14))
+    parallel_for_chunked(0, numel, body);
+  else
+    body(0, numel);
+  const std::int64_t total = sat.load(std::memory_order_relaxed);
+  if (total != 0 && q.act_saturated != nullptr)
+    q.act_saturated->fetch_add(total, std::memory_order_relaxed);
+  return xq;
 }
 
 }  // namespace mupod

@@ -10,11 +10,12 @@
 //
 // with two store epilogues applied once per output element:
 //   * dequantize-on-store: C_f32 = (acc + bias) * scale — the layer-
-//     boundary store used by quant/qexec (the next layer re-quantizes to
-//     its own I.F format);
+//     boundary store of an unfused lowered layer (the next layer
+//     re-quantizes to its own I.F format);
 //   * saturating requantize-on-store: C_int = clamp(round(acc * M * 2^-s))
 //     with a gemmlowp-style q31 fixed-point multiplier — the fused form a
-//     real integer accelerator uses, exercised by the property tests.
+//     real integer accelerator uses, stored across the elided boundaries
+//     of a compiled fused region.
 //
 // Operand widths are homogeneous per call: int8 operands accumulate in
 // int32 (a 2^14 product bound keeps any k <= 2^17 exact); int16 and int32
@@ -43,15 +44,6 @@
 namespace mupod {
 
 // ---------------------------------------------------------------------------
-// Execution-mode gate, parallel to GemmMode. THREAD-LOCAL, unlike the
-// global GemmMode: the integer path is selected per forward by the
-// executor (quant/qexec) on the calling thread, so one thread running a
-// quantized forward can never flip a float forward running concurrently
-// on another service thread.
-enum class ExecMode { kFloat, kInteger };
-ExecMode exec_mode();
-void set_exec_mode(ExecMode m);
-
 // Integer storage widths the kernels are instantiated for.
 enum class QType : int { kInt8 = 0, kInt16 = 1, kInt32 = 2 };
 const char* qtype_name(QType t);
@@ -135,10 +127,9 @@ std::int64_t quantize_to(QType type, const float* x, std::int64_t n, double step
                          std::int32_t lo, std::int32_t hi, void* out);
 
 // ---------------------------------------------------------------------------
-// Per-layer integer operands, bound by the executor around a layer's
-// forward call on the SAME thread (thread-local, like ExecMode).
-// Conv2DLayer/InnerProductLayer read it when exec_mode() == kInteger and
-// fall back to the float path when it is unbound.
+// Per-layer integer operands, passed by the compiled executor
+// (compile/compiled_network.hpp) to the integer entry points of
+// Conv2DLayer/InnerProductLayer as an explicit argument.
 struct QLayerBinding {
   QType type = QType::kInt16;
   // Quantized weights in the layer's native layout ((OC, k_dim) rows for
@@ -155,9 +146,8 @@ struct QLayerBinding {
   // Saturation sink for clipped activations (owned by the executor).
   std::atomic<std::int64_t>* act_saturated = nullptr;
 
-  // --- Fused-region fields, set by compile/CompiledNetwork only. The
-  // per-layer executor (quant/qexec) leaves them at the defaults, which
-  // reproduce its quantize-on-load / dequantize-on-store round trip. ---
+  // --- Fused-region fields. Their defaults give the unfused
+  // quantize-on-load / dequantize-on-store round trip. ---
   // Input tensor already holds `type` integers on this layer's activation
   // grid (bit-cast inside the float Tensor buffer): skip quantize-on-load
   // and feed the carrier straight into the integer GEMM.
@@ -173,23 +163,26 @@ struct QLayerBinding {
   // Fused ReLU in the store epilogue (see QGemmEpilogue::relu).
   bool relu = false;
 };
-const QLayerBinding* current_qlayer();
-void set_current_qlayer(const QLayerBinding* b);
+
+// The integer input of a lowered layer: `x` itself when it already holds
+// carrier integers on the layer's grid (in_quantized), else `x` quantized
+// on load into the calling thread's GemmScratch qact slot, clips added to
+// act_saturated. Chunk-parallel and deterministic: chunks write disjoint
+// ranges and the clip total is an order-free sum.
+const void* quantize_layer_input(const QLayerBinding& q, const float* x, std::int64_t numel);
 
 // ---------------------------------------------------------------------------
-// Float-path fusion binding, bound by the compiled executor (compile/)
-// around a conv/FC forward on the same thread (thread-local, like
-// QLayerBinding). When scale/shift are non-null they hold one entry per
-// output channel and apply the folded BatchNormScale affine (x*a + b,
-// the exact expression of BatchNormScaleLayer::forward) ahead of the
-// optional ReLU — so the fused store is bitwise identical to running the
-// separate layers.
+// Float-path store epilogue, passed by the compiled executor to the float
+// entry points of Conv2DLayer/InnerProductLayer as an explicit argument;
+// the default-constructed value is the plain, unfused store. When
+// scale/shift are non-null they hold one entry per output channel and
+// apply the folded BatchNormScale affine (x*a + b, the exact expression
+// of BatchNormScaleLayer::forward) ahead of the optional ReLU — so the
+// fused store is bitwise identical to running the separate layers.
 struct FloatFusion {
   bool relu = false;
   const float* scale = nullptr;
   const float* shift = nullptr;
 };
-const FloatFusion* current_float_fusion();
-void set_current_float_fusion(const FloatFusion* f);
 
 }  // namespace mupod

@@ -1,14 +1,15 @@
 // Differential equivalence battery for the graph compiler: the compiled
-// artifact against the executors it replaces.
+// artifact against the float interpreter and a naive integer reference.
 //
 //   * FLOAT: compiled == Network::forward BITWISE, for every zoo model
 //     and a seeded sweep of random boundary networks, across worker
 //     counts and across forced-scalar vs the detected ISA. Fused
 //     epilogues (ReLU, folded norm) apply the exact same float
 //     expressions at the same store points, so not a single bit may move.
-//   * INTEGER, elision off: compiled == QuantizedNetwork BITWISE — same
-//     lowering math (lower_layer_operands), same float-carrier stores, so
-//     fusing ReLU into the epilogue is invisible at the bit level.
+//   * INTEGER, unfused preset (unfused_integer_options): every lowered
+//     step's float dequant store must equal a naive int64 reference
+//     computed from the step's own captured input EXACTLY, across worker
+//     counts and ISAs — fused ReLU included.
 //   * INTEGER, elision on: each fused boundary is held to the committed
 //     one-quantization-step contract. Every lowered step is recomputed
 //     with a naive int64 reference from the compiled network's own
@@ -126,51 +127,6 @@ TEST(CompileEquivalence, FloatBitwiseAcrossRandomBoundaryNets) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer path, requantize elision OFF: the compiled program must be
-// bitwise identical to the unfused QuantizedNetwork — every store is
-// still a float dequant store, fused ReLU applies the same expression the
-// separate ReLU layer would, and the operands come from the same
-// lower_layer_operands. (fold_norm changes the folded weights' w_fmt, so
-// it is disabled here to keep operands identical on nets with norms.)
-TEST(CompileEquivalence, IntegerUnfusedElisionOffMatchesQexecBitwise) {
-  ExecConfigGuard guard;
-  CompileOptions co;
-  co.weight_bits = 8;
-  co.elide_requant = false;
-  co.fold_norm = false;
-  QExecOptions qo;
-  qo.weight_bits = 8;
-
-  const auto check = [&](const Network& net, const std::vector<int>& analyzed,
-                         const std::vector<FixedPointFormat>& formats, const Tensor& x,
-                         const std::string& tag) {
-    const CompiledNetwork cn = GraphCompiler(co).compile(net, analyzed, formats);
-    const QuantizedNetwork qn(net, analyzed, formats, qo);
-    for (KernelIsa isa : isas_to_test()) {
-      set_kernel_isa(isa);
-      for (int workers : {1, 0}) {
-        set_parallel_worker_count(workers);
-        expect_bitwise_equal(cn.forward(x), qn.forward(x),
-                             tag + " isa=" + kernel_isa_name(isa) + " workers=" +
-                                 std::to_string(workers));
-      }
-    }
-  };
-
-  for (const char* name : {"tiny", "nin"}) {
-    ZooModel m = build_model(name, small_zoo_options());
-    check(m.net, m.analyzed, mixed_formats(m.analyzed.size()),
-          random_input(2, m.channels, m.height, m.width, 31), name);
-  }
-  for (std::uint64_t seed : {2, 5, 9}) {
-    RandomNet r = make_random_net(seed);
-    check(r.net, r.analyzed, mixed_formats(r.analyzed.size()),
-          random_input(2, r.channels, r.height, r.width, 400 + seed),
-          "random seed " + std::to_string(seed));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Integer path, elision ON: naive int64 reference per lowered step.
 
 template <typename T>
@@ -243,6 +199,7 @@ struct BoundaryStats {
   std::int64_t boundary_elems = 0;  // carrier elements checked at elided edges
   std::int64_t float_elems = 0;     // float store elements checked
   int quant_store_steps = 0;
+  int relu_steps = 0;               // lowered steps with a fused ReLU
 };
 
 template <typename T>
@@ -271,6 +228,7 @@ void verify_lowered_step(const CompiledNetwork& cn, int si, const std::vector<Te
   (void)input;
 
   const std::vector<std::int64_t> acc = naive_accumulate<T>(st, xq, in_t.shape(), out_t.shape());
+  if (st.relu) ++stats->relu_steps;
 
   if (st.quant_store) {
     ++stats->quant_store_steps;
@@ -309,6 +267,24 @@ void verify_lowered_step(const CompiledNetwork& cn, int si, const std::vector<Te
   }
 }
 
+// Runs `cn` once on `x` and checks every lowered step against the naive
+// int64 reference.
+void verify_lowered_steps(const CompiledNetwork& cn, const Tensor& x, BoundaryStats* stats) {
+  std::vector<Tensor> cap;
+  const Tensor out = cn.forward_captured(x, &cap);
+  (void)out;
+  for (int si = 0; si < static_cast<int>(cn.steps().size()); ++si) {
+    const CompiledStep& st = cn.steps()[static_cast<std::size_t>(si)];
+    if (!st.lowered) continue;
+    switch (st.lw.type) {
+      case QType::kInt8: verify_lowered_step<std::int8_t>(cn, si, cap, x, stats); break;
+      case QType::kInt16: verify_lowered_step<std::int16_t>(cn, si, cap, x, stats); break;
+      case QType::kInt32: verify_lowered_step<std::int32_t>(cn, si, cap, x, stats); break;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(CompileEquivalence, ElidedBoundariesWithinOneQuantStep) {
   ExecConfigGuard guard;
   CompileOptions co;
@@ -317,20 +293,7 @@ TEST(CompileEquivalence, ElidedBoundariesWithinOneQuantStep) {
 
   const auto check_net = [&](const Network& net, const std::vector<int>& analyzed,
                              const std::vector<FixedPointFormat>& formats, const Tensor& x) {
-    const CompiledNetwork cn = GraphCompiler(co).compile(net, analyzed, formats);
-    std::vector<Tensor> cap;
-    const Tensor out = cn.forward_captured(x, &cap);
-    (void)out;
-    for (int si = 0; si < static_cast<int>(cn.steps().size()); ++si) {
-      const CompiledStep& st = cn.steps()[static_cast<std::size_t>(si)];
-      if (!st.lowered) continue;
-      switch (st.lw.type) {
-        case QType::kInt8: verify_lowered_step<std::int8_t>(cn, si, cap, x, &stats); break;
-        case QType::kInt16: verify_lowered_step<std::int16_t>(cn, si, cap, x, &stats); break;
-        case QType::kInt32: verify_lowered_step<std::int32_t>(cn, si, cap, x, &stats); break;
-      }
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    verify_lowered_steps(GraphCompiler(co).compile(net, analyzed, formats), x, &stats);
   };
 
   {
@@ -352,6 +315,56 @@ TEST(CompileEquivalence, ElidedBoundariesWithinOneQuantStep) {
   EXPECT_GT(stats.quant_store_steps, 0) << "no requantized store was ever checked";
   EXPECT_GT(stats.boundary_elems, 0);
   EXPECT_GT(stats.float_elems, 0) << "no float dequant store was ever checked";
+}
+
+// ---------------------------------------------------------------------------
+// Integer path, unfused preset: no requantize elision and no norm folding,
+// so every lowered step quantizes its float input on load and dequantizes
+// on store. Each store must equal the naive int64 reference exactly, on
+// every ISA and worker count; ReLU fused into the store applies the same
+// expression the separate ReLU layer would.
+TEST(CompileEquivalence, IntegerUnfusedPresetMatchesNaiveReference) {
+  ExecConfigGuard guard;
+  const CompileOptions co = unfused_integer_options(8);
+  BoundaryStats stats;
+
+  const auto check = [&](const Network& net, const std::vector<int>& analyzed,
+                         const std::vector<FixedPointFormat>& formats, const Tensor& x,
+                         const std::string& tag) {
+    const CompiledNetwork cn = GraphCompiler(co).compile(net, analyzed, formats);
+    EXPECT_EQ(cn.coverage().qdq_elided, 0) << tag;
+    EXPECT_EQ(cn.coverage().norm_folded, 0) << tag;
+    for (KernelIsa isa : isas_to_test()) {
+      set_kernel_isa(isa);
+      for (int workers : {1, 0}) {
+        set_parallel_worker_count(workers);
+        SCOPED_TRACE(tag + " isa=" + kernel_isa_name(isa) + " workers=" +
+                     std::to_string(workers));
+        verify_lowered_steps(cn, x, &stats);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  };
+
+  for (const char* name : {"tiny", "nin"}) {
+    ZooModel m = build_model(name, small_zoo_options());
+    check(m.net, m.analyzed, mixed_formats(m.analyzed.size()),
+          random_input(2, m.channels, m.height, m.width, 31), name);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  for (std::uint64_t seed : {2, 5, 9}) {
+    RandomNet r = make_random_net(seed);
+    check(r.net, r.analyzed, mixed_formats(r.analyzed.size()),
+          random_input(2, r.channels, r.height, r.width, 400 + seed),
+          "random seed " + std::to_string(seed));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+
+  // Vacuity: float dequant stores and fused ReLU epilogues were checked,
+  // and the preset never stored a requantized carrier.
+  EXPECT_GT(stats.float_elems, 0) << "no float dequant store was ever checked";
+  EXPECT_GT(stats.relu_steps, 0) << "no fused ReLU store was ever checked";
+  EXPECT_EQ(stats.quant_store_steps, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-// Equivalence of the production convolution (direct and im2col+GEMM
-// paths) against a straightforward reference implementation, swept over a
-// parameter grid that straddles the GEMM-path cutoff.
+// Equivalence of the production convolution (direct, pointwise GEMM and
+// im2col+GEMM paths) against a straightforward reference implementation,
+// swept over a parameter grid that straddles the GEMM-path cutoff and the
+// blocked GEMM's packing edges.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -79,7 +80,9 @@ TEST_P(ConvEquivalence, MatchesReference) {
   const Tensor ref = reference_conv(conv, x);
 
   ASSERT_EQ(fast.shape(), ref.shape());
-  EXPECT_LT(max_abs_diff(fast, ref), 1e-3);
+  // Float accumulation vs the double reference stays below 5e-5 on every
+  // case and ISA (k_dim up to 400).
+  EXPECT_LT(max_abs_diff(fast, ref), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -99,7 +102,14 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{3, 5, 5, 3, 2, 1, 11, 13},     // non-square, odd stride
         // Edge geometry.
         ConvCase{2, 8, 3, 1, 2, 1, 4, 4},       // pad > kernel/2
-        ConvCase{2, 8, 4, 4, 0, 1, 8, 8}),      // stride == kernel
+        ConvCase{2, 8, 4, 4, 0, 1, 8, 8},       // stride == kernel
+        // Blocked-GEMM geometry: packing edges and the per-path dispatch.
+        ConvCase{16, 32, 5, 2, 2, 1, 17, 17},   // strided 5x5, odd extent
+        ConvCase{16, 16, 1, 1, 0, 1, 9, 9},     // pointwise (no im2col)
+        ConvCase{12, 24, 3, 1, 1, 4, 10, 10},   // grouped
+        ConvCase{16, 16, 3, 1, 1, 16, 8, 8},    // depthwise (direct)
+        ConvCase{6, 10, 3, 2, 0, 2, 15, 11},    // grouped + strided, non-square
+        ConvCase{32, 48, 3, 1, 1, 1, 16, 16}),  // k_dim 288 straddles KC
     [](const auto& info) {
       const auto& c = info.param;
       return "ic" + std::to_string(c.in_c) + "oc" + std::to_string(c.out_c) + "k" +

@@ -122,7 +122,7 @@ TEST(Gemm, RepeatCallsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer-level parity: blocked vs legacy paths
+// Layer-level parity
 
 Conv2DLayer make_conv(const Conv2DLayer::Config& cfg, std::uint64_t seed) {
   Conv2DLayer conv(cfg);
@@ -135,76 +135,31 @@ Conv2DLayer make_conv(const Conv2DLayer::Config& cfg, std::uint64_t seed) {
   return conv;
 }
 
-struct ConvParityCase {
-  int in_c, out_c, k, stride, pad, groups, h, w, batch;
-};
-
-class ConvPathParity : public ::testing::TestWithParam<ConvParityCase> {};
-
-TEST_P(ConvPathParity, BlockedMatchesLegacy) {
-  const ConvParityCase& p = GetParam();
-  Conv2DLayer::Config cfg;
-  cfg.in_channels = p.in_c;
-  cfg.out_channels = p.out_c;
-  cfg.kernel_h = cfg.kernel_w = p.k;
-  cfg.stride = p.stride;
-  cfg.pad = p.pad;
-  cfg.groups = p.groups;
-  const Conv2DLayer conv = make_conv(cfg, 11 * p.in_c + p.out_c);
-
-  Tensor x(Shape({p.batch, p.in_c, p.h, p.w}));
-  Rng rng(99);
-  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
-
-  const Shape shapes[1] = {x.shape()};
-  const Tensor* ins[1] = {&x};
-  Tensor y_blocked(conv.output_shape(shapes));
-  Tensor y_legacy(conv.output_shape(shapes));
-
-  set_gemm_mode(GemmMode::kBlocked);
-  conv.forward(ins, y_blocked);
-  set_gemm_mode(GemmMode::kLegacy);
-  conv.forward(ins, y_legacy);
-  set_gemm_mode(GemmMode::kBlocked);
-
-  for (std::int64_t i = 0; i < y_blocked.numel(); ++i)
-    ASSERT_NEAR(y_blocked[i], y_legacy[i], 1e-4) << "element " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, ConvPathParity,
-    ::testing::Values(ConvParityCase{8, 16, 3, 1, 1, 1, 12, 12, 2},   // padded 3x3
-                      ConvParityCase{16, 32, 5, 2, 2, 1, 17, 17, 1},  // strided 5x5, odd extent
-                      ConvParityCase{16, 16, 1, 1, 0, 1, 9, 9, 2},    // pointwise fast path
-                      ConvParityCase{12, 24, 3, 1, 1, 4, 10, 10, 2},  // grouped
-                      ConvParityCase{16, 16, 3, 1, 1, 16, 8, 8, 1},   // depthwise (direct)
-                      ConvParityCase{6, 10, 3, 2, 0, 2, 15, 11, 3},   // grouped + strided,
-                                                                      // non-square
-                      ConvParityCase{32, 48, 3, 1, 1, 1, 16, 16, 1}   // straddles KC in k_dim
-                      ));
-
-TEST(InnerProductParity, BlockedMatchesLegacyAcrossBatch) {
+// The blocked GEMM inner product (the transposed GEMV at batch 1, the
+// Bᵀ-packed GEMM above it) against a naive per-row float dot product.
+TEST(InnerProductParity, MatchesNaiveDotAcrossBatch) {
   InnerProductLayer fc(137, 75);  // non-multiples of every tile size
   Rng rng(21);
   for (std::int64_t i = 0; i < fc.mutable_weights()->numel(); ++i)
     (*fc.mutable_weights())[i] = static_cast<float>(rng.gaussian());
   for (std::int64_t i = 0; i < fc.mutable_bias()->numel(); ++i)
     (*fc.mutable_bias())[i] = static_cast<float>(rng.gaussian());
+  const float* w = fc.weights()->data();
+  const float* bias = fc.bias()->data();
 
   for (const int batch : {1, 2, 9}) {
     Tensor x(Shape({batch, 137}));
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
     const Shape shapes[1] = {x.shape()};
     const Tensor* ins[1] = {&x};
-    Tensor y_blocked(fc.output_shape(shapes));
-    Tensor y_legacy(fc.output_shape(shapes));
-    set_gemm_mode(GemmMode::kBlocked);
-    fc.forward(ins, y_blocked);
-    set_gemm_mode(GemmMode::kLegacy);
-    fc.forward(ins, y_legacy);
-    set_gemm_mode(GemmMode::kBlocked);
-    for (std::int64_t i = 0; i < y_blocked.numel(); ++i)
-      ASSERT_NEAR(y_blocked[i], y_legacy[i], 1e-4) << "batch " << batch << " element " << i;
+    Tensor y(fc.output_shape(shapes));
+    fc.forward(ins, y);
+    for (int n = 0; n < batch; ++n)
+      for (int o = 0; o < 75; ++o) {
+        float acc = bias[o];
+        for (int i = 0; i < 137; ++i) acc += x[n * 137 + i] * w[o * 137 + i];
+        ASSERT_NEAR(y[n * 75 + o], acc, 1e-4) << "batch " << batch << " element " << n * 75 + o;
+      }
   }
 }
 
@@ -247,7 +202,6 @@ TEST(GemmDeterminism, BatchDecompositionInvariant) {
   const Shape shapes[1] = {x.shape()};
   const Tensor* ins[1] = {&x};
   Tensor y_batch(conv.output_shape(shapes));
-  set_gemm_mode(GemmMode::kBlocked);
   conv.forward(ins, y_batch);
 
   const std::int64_t img_in = x.numel() / batch;

@@ -416,11 +416,14 @@ TEST(InferenceServer, IntegerBackendRequiresAnInstalledPlan) {
   server.stop();
 }
 
-TEST(InferenceServer, IntegerBatchesMatchDirectQuantizedNetworkBitwise) {
+TEST(InferenceServer, IntegerBatchesMatchDirectCompileBitwise) {
   const InferFixture& f = fixture();
   const auto formats = uniform_formats(static_cast<int>(f.model.analyzed.size()), 8, 8);
   QExecOptions qopts;
-  const QuantizedNetwork direct(f.model.net, f.model.analyzed, formats, qopts);
+  CompileOptions copts;
+  copts.weight_bits = qopts.weight_bits;
+  const CompiledNetwork direct =
+      GraphCompiler(copts).compile(f.model.net, f.model.analyzed, formats);
 
   InferenceServerConfig cfg;
   cfg.batch.max_batch = 4;

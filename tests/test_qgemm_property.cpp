@@ -12,10 +12,12 @@
 //     committed scalar contract) and saturation counting;
 //   * quantize-on-load saturation at the +-2^(I+F) grid boundaries and
 //     bit-compatibility with quant/fixed_point's quantize_tensor;
-//   * bitwise determinism across worker counts;
+//   * bitwise determinism across worker counts, for qgemm and for a
+//     compiled integer program;
 //   * the metamorphic emulated-vs-executed check: a conv layer run with
-//     the float kQuantize emulation and through the integer path agree to
-//     within one accumulator step (the requantize ULP) per output.
+//     the float kQuantize emulation and through the compiled integer path
+//     agree to within one accumulator step (the requantize ULP) per
+//     output.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,10 +27,11 @@
 #include <limits>
 #include <vector>
 
+#include "compile/compiled_network.hpp"
+#include "compile/graph_compiler.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "quant/fixed_point.hpp"
-#include "quant/qexec.hpp"
 #include "stats/rng.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
@@ -504,11 +507,10 @@ TEST(QExecMetamorphic, ConvEmulatedAndIntegerAgreeWithinOneStep) {
   }
   net.finalize();
 
-  QExecOptions qopts;
-  qopts.weight_bits = weight_bits;
-  QuantizedNetwork qnet(net, {conv_id}, {act_fmt}, qopts);
-  ASSERT_EQ(qnet.num_lowered(), 1);
-  const QLayerLowering& L = qnet.lowering()[0];
+  const CompiledNetwork cn =
+      GraphCompiler(unfused_integer_options(weight_bits)).compile(net, {conv_id}, {act_fmt});
+  ASSERT_EQ(cn.coverage().lowered, 1);
+  const QLayerLowering& L = cn.steps()[static_cast<std::size_t>(cn.step_of_src(conv_id))].lw;
   const double acc_scale = act_fmt.step() * L.w_fmt.step();
 
   // Emulated: round input and weights onto their grids, compute in fp32.
@@ -526,7 +528,7 @@ TEST(QExecMetamorphic, ConvEmulatedAndIntegerAgreeWithinOneStep) {
   emu_net.quantize_weights_uniform(weight_bits);
   const Tensor y_emulated = emu_net.forward(x_emu);
 
-  const Tensor y_integer = qnet.forward(x);
+  const Tensor y_integer = cn.forward(x);
 
   ASSERT_EQ(y_emulated.numel(), y_integer.numel());
   for (std::int64_t i = 0; i < y_emulated.numel(); ++i)
@@ -534,8 +536,8 @@ TEST(QExecMetamorphic, ConvEmulatedAndIntegerAgreeWithinOneStep) {
         << "output " << i << ": emulated " << y_emulated[i] << " vs integer " << y_integer[i];
 }
 
-// The integer-executed QuantizedNetwork forward is itself bit-identical
-// across worker counts (quantize-on-load chunks + qgemm tiles).
+// The compiled integer forward is itself bit-identical across worker
+// counts (quantize-on-load chunks + qgemm tiles).
 TEST(QExecDeterminism, QuantizedForwardBitIdenticalAcrossWorkers) {
   Conv2DLayer::Config cfg;
   cfg.in_channels = 4;
@@ -559,7 +561,9 @@ TEST(QExecDeterminism, QuantizedForwardBitIdenticalAcrossWorkers) {
   FixedPointFormat fmt;
   fmt.integer_bits = 4;
   fmt.fraction_bits = 8;
-  QuantizedNetwork qnet(net, {conv_id}, {fmt});
+  const CompiledNetwork cn =
+      GraphCompiler(unfused_integer_options(16)).compile(net, {conv_id}, {fmt});
+  ASSERT_EQ(cn.coverage().lowered, 1);
 
   Tensor x(Shape({4, 4, 16, 16}));
   for (std::int64_t i = 0; i < x.numel(); ++i)
@@ -568,7 +572,7 @@ TEST(QExecDeterminism, QuantizedForwardBitIdenticalAcrossWorkers) {
   std::vector<Tensor> ys;
   for (const int workers : {1, 3}) {
     set_parallel_worker_count(workers);
-    ys.push_back(qnet.forward(x));
+    ys.push_back(cn.forward(x));
   }
   set_parallel_worker_count(0);
   ASSERT_EQ(ys[0].numel(), ys[1].numel());

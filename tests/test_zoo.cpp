@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "data/synthetic.hpp"
 #include "nn/layers.hpp"
@@ -29,6 +30,12 @@ struct LayerCountCase {
   const char* name;
   int layers;
 };
+
+// Without this gtest prints the raw bytes, pointer included, so the test name
+// that ctest discovers would change with every address-space layout.
+void PrintTo(const LayerCountCase& c, std::ostream* os) {
+  *os << c.name << " " << c.layers << " layers";
+}
 
 class ZooLayerCount : public ::testing::TestWithParam<LayerCountCase> {};
 
