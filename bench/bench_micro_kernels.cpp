@@ -219,7 +219,6 @@ BENCHMARK(BM_PartialForward_ResNet50_LastQuarter);
 //                      scalar(SSE2 autovec)   avx2            avx2fma
 //   sgemm              8  flop/cyc            16 (mul+add)    32 (2x fma)
 //   qgemm8 / qgemv8    8  op/cyc              64 (vpmaddwd 16 MAC x 2/cyc)
-//   qgemm8 maddubs     8                      64 (vpmaddubsw+vpmaddwd pair)
 //   qgemm16            8                      64 (madd; s64 widening eats in)
 //   quantize8/16       1  elem/cyc            8  (one 8-float vector/cyc)
 //
@@ -301,16 +300,13 @@ std::vector<float> roof_floats(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// Signed integers in [lo, hi], first element pinned to hi so the qgemm8
-// B-range scan dispatches exactly the kernel the row claims to measure
-// (|b| <= 64 => maddubs fast path, any |b| > 64 => k-pair madd path).
+// Signed integers in [lo, hi].
 template <typename T>
 std::vector<T> roof_ints(std::size_t n, int lo, int hi, std::uint64_t seed) {
   std::vector<T> v(n);
   Rng rng(seed);
   for (auto& x : v)
     x = static_cast<T>(lo + static_cast<int>(rng.uniform() * (hi - lo + 1)));
-  if (!v.empty()) v[0] = static_cast<T>(hi);
   return v;
 }
 
@@ -320,7 +316,6 @@ int run_roofline(const std::string& json_out, int reps) {
 
   const RoofSpec kSgemm = {"sgemm", "flops", 8, 16, 32};
   const RoofSpec kQ8Madd = {"qgemm8_madd", "ops", 8, 64, 64};
-  const RoofSpec kQ8Maddubs = {"qgemm8_maddubs", "ops", 8, 64, 64};
   const RoofSpec kQ16 = {"qgemm16", "ops", 8, 64, 64};
   const RoofSpec kQgemv8 = {"qgemv8", "ops", 8, 64, 64};
   const RoofSpec kQuant8 = {"quantize8", "elems", 1, 8, 8};
@@ -338,8 +333,7 @@ int run_roofline(const std::string& json_out, int reps) {
   std::vector<float> c_f(static_cast<std::size_t>(M * N));
 
   const auto a8 = roof_ints<std::int8_t>(static_cast<std::size_t>(QM * QK), -128, 127, 33);
-  const auto b8_wide = roof_ints<std::int8_t>(static_cast<std::size_t>(QK * QN), -128, 127, 34);
-  const auto b8_narrow = roof_ints<std::int8_t>(static_cast<std::size_t>(QK * QN), -64, 64, 35);
+  const auto b8 = roof_ints<std::int8_t>(static_cast<std::size_t>(QK * QN), -128, 127, 34);
   const auto a16 = roof_ints<std::int16_t>(static_cast<std::size_t>(QM * QK), -32767, 32767, 36);
   const auto b16 = roof_ints<std::int16_t>(static_cast<std::size_t>(QK * QN), -32767, 32767, 37);
   const auto g8 = roof_ints<std::int8_t>(static_cast<std::size_t>(GM * GK), -128, 127, 38);
@@ -378,13 +372,7 @@ int run_roofline(const std::string& json_out, int reps) {
                    2, reps));
     push(kQ8Madd, isa, QM, QN, QK, 2.0 * QM * QN * QK,
          min_of_ms([&] {
-           qgemm(QType::kInt8, QM, QN, QK, a8.data(), QK, b8_wide.data(), QN, qc.data(), QN,
-                 dequant);
-         }, 1, reps));
-    push(kQ8Maddubs, isa, QM, QN, QK, 2.0 * QM * QN * QK,
-         min_of_ms([&] {
-           qgemm(QType::kInt8, QM, QN, QK, a8.data(), QK, b8_narrow.data(), QN, qc.data(), QN,
-                 dequant);
+           qgemm(QType::kInt8, QM, QN, QK, a8.data(), QK, b8.data(), QN, qc.data(), QN, dequant);
          }, 1, reps));
     push(kQ16, isa, QM, QN, QK, 2.0 * QM * QN * QK,
          min_of_ms([&] {

@@ -1,8 +1,12 @@
 #!/bin/bash
-# Metric-name lint: every metric-name string literal in src/ must follow
-# the naming scheme (docs/method.md §10) and be listed in the method.md
-# naming tables, so the docs registry can never silently drift from the
-# code. Run standalone or via scripts/run_sanitized_tests.sh.
+# Metric-name lint, both ways: every metric-name string literal in src/
+# must follow the naming scheme (docs/method.md §10) and be listed in the
+# method.md naming tables, and every name in the method.md metric-name
+# registry table must be emitted by some src/ literal — so the docs
+# registry can never silently drift from the code in either direction.
+# The runtime-composed `pool.worker<slot>.*` names are the one documented
+# exception to the second rule. Run standalone or via
+# scripts/run_sanitized_tests.sh.
 #
 # Scheme: dot-separated lowercase `<area>.<object>.<property>`, 2-4
 # segments, [a-z0-9_] per segment, first segment starting with a letter
@@ -51,5 +55,29 @@ for n in $names; do
   fi
 done
 
-echo "check_metric_names: $total metric name(s) checked, $bad_scheme scheme violation(s), $undocumented undocumented"
-[ "$bad_scheme" -eq 0 ] && [ "$undocumented" -eq 0 ]
+# The registry table: its rows run from the "Metric-name registry"
+# paragraph to the next heading; column 2 lists the names.
+registry=$(
+  awk '/^\*\*Metric-name registry\.\*\*/ { on = 1 } on && /^## / { exit } on && /^\| `/' "$DOC" |
+  awk -F'|' '{ print $3 }' |
+  grep -oE '`[a-z][a-z0-9_]*(\.[a-z0-9_<>]+)+`' |
+  tr -d '`' | grep -v '<' | sort -u
+)
+
+if [ -z "$registry" ]; then
+  echo "check_metric_names: extracted no names from the $DOC registry table — extractor broken?" >&2
+  exit 1
+fi
+
+registered=0
+stale=0
+for n in $registry; do
+  registered=$((registered + 1))
+  if ! grep -qxF "$n" <<< "$names"; then
+    echo "STALE: '$n' is in the $DOC registry table but no src/ literal emits it" >&2
+    stale=$((stale + 1))
+  fi
+done
+
+echo "check_metric_names: $total metric name(s) checked, $bad_scheme scheme violation(s), $undocumented undocumented; $registered registry name(s), $stale stale"
+[ "$bad_scheme" -eq 0 ] && [ "$undocumented" -eq 0 ] && [ "$stale" -eq 0 ]

@@ -158,7 +158,9 @@ void WorkerNode::submit(std::shared_ptr<ClusterDispatch> d) {
     std::lock_guard<std::mutex> lk(qmu_);
     queue_.push_back(std::move(d));
   }
-  qcv_.notify_one();
+  // notify_all: a thread stalled by a kDelay fault also waits on qcv_ and
+  // would swallow a notify_one meant for an idle worker.
+  qcv_.notify_all();
 }
 
 int WorkerNode::load() const {
@@ -247,11 +249,16 @@ void WorkerNode::execute(const std::shared_ptr<ClusterDispatch>& d) {
           dropped_.fetch_add(1, std::memory_order_relaxed);
           bump("cluster.node.dropped");
           return;
-        case FaultKind::kDelay:
+        case FaultKind::kDelay: {
           delayed_.fetch_add(1, std::memory_order_relaxed);
           bump("cluster.node.delayed");
-          std::this_thread::sleep_for(std::chrono::microseconds(a->delay_us));
+          // A straggler, not a hang: stop() cancels the stall, and the
+          // stalled dispatch is then dropped like a dead node's.
+          std::unique_lock<std::mutex> lk(qmu_);
+          if (qcv_.wait_for(lk, std::chrono::microseconds(a->delay_us), [&] { return stop_; }))
+            return;
           break;
+        }
         default:
           // Data fault: bit-flip this query's cached entry (when present);
           // the checksum verification below must catch it.

@@ -35,12 +35,13 @@
 //    network-hash check. A rejected replica simply re-measures.
 //
 // Failure injection: each node consults FaultInjector point
-// "cluster.node<i>" per dispatch — kDelay stalls it, kDrop makes the node
-// unresponsive for that dispatch, and the data kinds bit-flip the node's
-// cached entry for the query (which the checksum then catches). kill_node
-// parks the executor threads wholesale. Every breaker transition, retry,
-// hedge, and rejection flows through src/obs counters (cluster.* —
-// docs/method.md Sec. 13) and the controller's DiagnosticSink.
+// "cluster.node<i>" per dispatch — kDelay stalls it (stop() cancels the
+// stall), kDrop makes the node unresponsive for that dispatch, and the
+// data kinds bit-flip the node's cached entry for the query (which the
+// checksum then catches). kill_node parks the executor threads
+// wholesale. Every breaker transition, retry, hedge, and rejection flows
+// through src/obs counters (cluster.* — docs/method.md Sec. 13) and the
+// controller's DiagnosticSink.
 #pragma once
 
 #include <atomic>

@@ -12,9 +12,8 @@
 //   kScalar    the generic C++ kernels (compiler-vectorized), the
 //              baseline ISA on every target and the correctness
 //              reference for the other entries;
-//   kAvx2      AVX2 integer kernels (vpmaddwd / vpmaddubsw dot products,
-//              vectorized quantize-on-load) plus a mul+add 6x16 SGEMM
-//              micro-kernel;
+//   kAvx2      AVX2 integer kernels (vpmaddwd dot products, vectorized
+//              quantize-on-load) plus a mul+add 6x16 SGEMM micro-kernel;
 //   kAvx2Fma   kAvx2's integer kernels plus an FMA 6x16 SGEMM
 //              micro-kernel (vfmadd231ps).
 //
@@ -79,23 +78,13 @@ inline constexpr int kQNr = 16;
 inline constexpr int kMaxMr = 8;
 inline constexpr int kMaxNr = 16;
 
-// Packed-operand layouts consumed by the integer kernels (produced by
-// qgemm.cpp's packers; byte-exact definitions in docs/method.md §16):
-//
-//  * k-PAIR layout (qmicro8 / qmicro16, exact for all inputs): A strip
-//    ap[p * kQMr + r] is an int32 holding the sign-extended pair
-//    (a[2p, r], a[2p+1, r]) as two int16s (low half = even k). B strip
-//    bp[p * 2*kQNr + ...] holds, per pair p, 32 int16s: columns 0..7
-//    interleaved (b[2p,0], b[2p+1,0], b[2p,1], ...) then columns 8..15.
-//    Odd k is zero-padded.
-//  * k-QUAD layout (qmicro8_maddubs, the u8 x s8 fast path): A strip
-//    ap[q * kQMr + r] is an int32 holding 4 bytes a[4q..4q+3, r] + 128
-//    (unsigned, the offset trick; padding bytes are 128 == offset 0).
-//    B strip bp[q * 4*kQNr + ...] holds, per quad q, 64 int8s: columns
-//    0..7 as 4 consecutive-k bytes each, then columns 8..15. The caller
-//    pre-initializes acc[r][c] = -128 * colsum[c] so the offset cancels
-//    exactly; legal only when every |b| <= 64 (no vpmaddubsw saturation)
-//    and k <= 2^16 (no int32 accumulator wrap) — qgemm.cpp checks both.
+// The k-PAIR packed-operand layout consumed by qmicro8 / qmicro16 (produced
+// by qgemm.cpp's packers; byte-exact definition in docs/method.md §16),
+// exact for all inputs. A strip ap[p * kQMr + r] is an int32 holding the
+// sign-extended pair (a[2p, r], a[2p+1, r]) as two int16s (low half =
+// even k). B strip bp[p * 2*kQNr + ...] holds, per pair p, 32 int16s:
+// columns 0..7 interleaved (b[2p,0], b[2p+1,0], b[2p,1], ...) then
+// columns 8..15. Odd k is zero-padded.
 struct KernelRegistry {
   KernelIsa isa;
 
@@ -108,11 +97,9 @@ struct KernelRegistry {
 
   // Integer micro-kernels; null => qgemm.cpp uses its generic C++ path.
   // acc is the kQMr x kQNr int32/int64 accumulator tile, accumulated
-  // in-place (callers zero- or compensation-initialize it).
+  // in-place (the caller zero-initializes it).
   void (*qmicro8)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
                   std::int32_t* acc);
-  void (*qmicro8_maddubs)(std::int64_t k_quads, const std::int32_t* ap, const std::int8_t* bp,
-                          std::int32_t* acc);
   void (*qmicro16)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
                    std::int64_t* acc);
 

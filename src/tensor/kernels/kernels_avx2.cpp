@@ -10,16 +10,9 @@
 // ascending-k loop.
 //
 //  * qmicro8 (k-pair): operands are sign-extended int8 pairs packed as
-//    int16; vpmaddwd products are <= 127*127 = 16129 and pair sums
-//    <= 32258 < 2^31 per step, accumulated in int32 — exact for ALL
+//    int16; vpmaddwd products are <= (-128)^2 = 16384 and pair sums
+//    <= 32768 < 2^31 per step, accumulated in int32 — exact for ALL
 //    int8 inputs.
-//  * qmicro8_maddubs (k-quad): vpmaddubsw computes u8*s8 with signed
-//    16-bit SATURATION; the packers offset A by +128 (u8 side) and the
-//    caller pre-initializes the accumulator with -128 * colsum so the
-//    offset cancels in integer arithmetic. qgemm.cpp only selects this
-//    kernel when every |b| <= 64 (pair sums <= 2*255*64 = 32640 < 32768:
-//    no saturation) and k <= 2^16 (acc magnitude <= 2^16 * 255 * 64 +
-//    compensation < 2^31: no wrap), so it is exact whenever invoked.
 //  * qmicro16 (k-pair): vpmaddwd pair sums are exact in int32 except the
 //    single corner where both pairs are (-32768)*(-32768); qgemm.cpp
 //    scans B for -32768 and falls back to the generic path, so the corner
@@ -100,41 +93,6 @@ void qmicro8_madd_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
       const __m256i va = _mm256_set1_epi32(apk[r]);
       vacc[r][0] = _mm256_add_epi32(vacc[r][0], _mm256_madd_epi16(b0, va));
       vacc[r][1] = _mm256_add_epi32(vacc[r][1], _mm256_madd_epi16(b1, va));
-    }
-  }
-  for (int r = 0; r < kQMr; ++r) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * kQNr), vacc[r][0]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * kQNr + 8), vacc[r][1]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// int8 k-quad kernel (u8 x s8 offset trick). ap[q*4 + r] = 4 offset bytes
-// (a + 128) of rows' k-quad; bp, per quad q, 64 int8s: cols 0..7 as 4
-// consecutive-k bytes each, then cols 8..15. Caller guarantees
-// no-saturation / no-wrap preconditions and compensation-initializes acc.
-
-void qmicro8_maddubs_avx2(std::int64_t k_quads, const std::int32_t* __restrict ap,
-                          const std::int8_t* __restrict bp, std::int32_t* __restrict acc) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i vacc[kQMr][2];
-  for (int r = 0; r < kQMr; ++r) {
-    vacc[r][0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * kQNr));
-    vacc[r][1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * kQNr + 8));
-  }
-  for (std::int64_t q = 0; q < k_quads; ++q) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + q * 4 * kQNr));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + q * 4 * kQNr + 32));
-    const std::int32_t* apk = ap + q * kQMr;
-    for (int r = 0; r < kQMr; ++r) {
-      const __m256i va = _mm256_set1_epi32(apk[r]);
-      // u8 (A+128) x s8 (B) pairs -> s16, then pair-sum to s32 via ones.
-      const __m256i p0 = _mm256_maddubs_epi16(va, b0);
-      const __m256i p1 = _mm256_maddubs_epi16(va, b1);
-      vacc[r][0] = _mm256_add_epi32(vacc[r][0], _mm256_madd_epi16(p0, ones));
-      vacc[r][1] = _mm256_add_epi32(vacc[r][1], _mm256_madd_epi16(p1, ones));
     }
   }
   for (int r = 0; r < kQMr; ++r) {
@@ -335,7 +293,6 @@ const KernelRegistry& avx2_kernel_registry() {
       NR,
       &sgemm_micro_avx2,
       &qmicro8_madd_avx2,
-      &qmicro8_maddubs_avx2,
       &qmicro16_madd_avx2,
       &qdot8_avx2,
       &qdot16_avx2,
@@ -354,7 +311,6 @@ const KernelRegistry& avx2_fma_kernel_registry() {
       NR,
       &sgemm_micro_6x16_fma,
       &qmicro8_madd_avx2,
-      &qmicro8_maddubs_avx2,
       &qmicro16_madd_avx2,
       &qdot8_avx2,
       &qdot16_avx2,

@@ -55,7 +55,6 @@ const KernelRegistry& scalar_kernel_registry() {
       NR,
       &sgemm_micro_scalar,
       nullptr,  // qmicro8
-      nullptr,  // qmicro8_maddubs
       nullptr,  // qmicro16
       nullptr,  // qdot8
       nullptr,  // qdot16

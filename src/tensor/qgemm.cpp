@@ -38,7 +38,6 @@ struct QGemmCounters {
   // Per-kernel dispatch counters: which integer kernel served each call.
   Counter* k_scalar;    // generic C++ tile path
   Counter* k_madd;      // AVX2 k-pair vpmaddwd kernel (int8 or int16)
-  Counter* k_maddubs;   // AVX2 k-quad vpmaddubsw fast path
   Counter* k_gemv;      // AVX2 dot-product GEMV path (n == 1)
 };
 
@@ -49,7 +48,6 @@ QGemmCounters& qgemm_counters() {
                          &metrics().counter("qgemm.requant.saturated"),
                          &metrics().counter("kernel.qgemm.scalar"),
                          &metrics().counter("kernel.qgemm.madd"),
-                         &metrics().counter("kernel.qgemm.maddubs"),
                          &metrics().counter("kernel.qgemm.gemv")};
   return c;
 }
@@ -162,26 +160,31 @@ std::int64_t store_tile(const Acc acc[QMR][QNR], std::int64_t i0, std::int64_t j
 }
 
 // ---------------------------------------------------------------------------
-// Driver
-
-template <typename T, typename Acc>
-void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
-                const T* a, std::int64_t lda, const T* b, std::int64_t ldb,
-                void* c, std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
+// Tile driver, shared by every packed integer GEMM (the generic templates
+// and the SIMD pair kernels). It packs ALL of B once into the calling
+// thread's arena as full-k strips (tile tasks only read it), then walks
+// the output tiles row-of-tiles major: a contiguous chunk packs each A
+// strip once and reuses it across its run of B strips. A task owns its
+// tiles for the full k extent and sums its saturations locally, so the
+// result and the count are independent of the worker count. The packed
+// layout is the caller's: one A / B strip holds `a_len` / `b_len`
+// elements, `pack_a(i0, mr_cur, ap)` / `pack_b(j0, nr_cur, bp)` fill one
+// strip, and `micro(ap, bp, acc)` accumulates one zeroed tile.
+template <typename T, typename Acc, typename AP, typename BP, typename PackA, typename PackB,
+          typename Micro>
+void qgemm_tiles(std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t a_len,
+                 std::int64_t b_len, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
+                 PackA pack_a, PackB pack_b, Micro micro) {
   const std::int64_t n_ir = ceil_div(m, QMR);
   const std::int64_t n_js = ceil_div(n, QNR);
   const bool par = 2 * m * n * std::max<std::int64_t>(k, 1) >= kSerialMacCutoff;
 
-  // Pack ALL of B once into the calling thread's arena (strip-major,
-  // full-k strips); tile tasks only read it.
-  T* bp = reinterpret_cast<T*>(
-      GemmScratch::local().qb(static_cast<std::size_t>(n_js * std::max<std::int64_t>(k, 1)) *
-                              QNR * sizeof(T)));
+  BP* bp = reinterpret_cast<BP*>(
+      GemmScratch::local().qb(static_cast<std::size_t>(n_js * b_len) * sizeof(BP)));
   const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
     for (std::int64_t js = sb; js < se; ++js) {
       const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_strip(b, ldb, trans_b, j0, nr_cur, k, bp + js * k * QNR);
+      pack_b(j0, static_cast<int>(std::min<std::int64_t>(QNR, n - j0)), bp + js * b_len);
     }
   };
   if (par && n_js >= 4)
@@ -190,11 +193,9 @@ void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
     pack_b_range(0, n_js);
 
   std::atomic<std::int64_t> sat{0};
-  // Tile tasks, row-of-tiles major: a contiguous chunk packs each A strip
-  // once and reuses it across its run of B strips.
   const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    T* ap = reinterpret_cast<T*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(std::max<std::int64_t>(k, 1)) * QMR * sizeof(T)));
+    AP* ap = reinterpret_cast<AP*>(
+        GemmScratch::local().qa(static_cast<std::size_t>(a_len) * sizeof(AP)));
     std::int64_t packed_ir = -1;
     std::int64_t local_sat = 0;
     for (std::int64_t t = tb; t < te; ++t) {
@@ -203,13 +204,13 @@ void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
       const std::int64_t i0 = ir * QMR;
       const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
       if (ir != packed_ir) {
-        pack_a_strip(a, lda, i0, mr_cur, k, ap);
+        pack_a(i0, mr_cur, ap);
         packed_ir = ir;
       }
       const std::int64_t j0 = js * QNR;
       const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      Acc acc[QMR][QNR] = {};
-      qmicro(k, ap, bp + js * k * QNR, acc);
+      alignas(32) Acc acc[QMR][QNR] = {};
+      micro(ap, bp + js * b_len, acc);
       local_sat += store_tile<T>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
     }
     if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
@@ -220,6 +221,22 @@ void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
     tile_range(0, n_ir * n_js);
 
   report_requant_sat(sat.load(std::memory_order_relaxed), ep);
+}
+
+// The generic C++ path: plain strips, qmicro. Strips are sized for at
+// least one k step so a k == 0 call still gets real arena memory.
+template <typename T, typename Acc>
+void qgemm_generic(std::int64_t m, std::int64_t n, std::int64_t k, const T* a, std::int64_t lda,
+                   const T* b, std::int64_t ldb, void* c, std::int64_t ldc,
+                   const QGemmEpilogue& ep, bool trans_b) {
+  const std::int64_t ks = std::max<std::int64_t>(k, 1);
+  qgemm_tiles<T, Acc, T, T>(
+      m, n, k, ks * QMR, ks * QNR, c, ldc, ep,
+      [&](std::int64_t i0, int mr_cur, T* ap) { pack_a_strip(a, lda, i0, mr_cur, k, ap); },
+      [&](std::int64_t j0, int nr_cur, T* bp) {
+        pack_b_strip(b, ldb, trans_b, j0, nr_cur, k, bp);
+      },
+      [&](const T* ap, const T* bp, Acc acc[QMR][QNR]) { qmicro(k, ap, bp, acc); });
 }
 
 template <typename T>
@@ -256,24 +273,20 @@ inline T load_b_elem(const T* b, std::int64_t ldb, bool trans_b, std::int64_t kk
   return trans_b ? b[j * ldb + kk] : b[kk * ldb + j];
 }
 
-// Min/max over the used region of B. One streaming pass, cheap next to
+// Whether the used region of an int16 B holds -32768. vpmaddwd overflows
+// only on a (-32768, -32768) pair in BOTH operands, so a B free of -32768
+// makes the int16 SIMD kernels exact. One streaming pass, cheap next to
 // the m*n*k multiply-accumulates it gates.
-template <typename T>
-void scan_b_range(const T* b, std::int64_t ldb, bool trans_b, std::int64_t n, std::int64_t k,
-                  std::int32_t* min_out, std::int32_t* max_out) {
-  std::int32_t mn = 0, mx = 0;
+bool b_has_int16_min(const std::int16_t* b, std::int64_t ldb, bool trans_b, std::int64_t n,
+                     std::int64_t k) {
   const std::int64_t rows = trans_b ? n : k;
   const std::int64_t cols = trans_b ? k : n;
   for (std::int64_t i = 0; i < rows; ++i) {
-    const T* row = b + i * ldb;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const std::int32_t v = static_cast<std::int32_t>(row[j]);
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
+    const std::int16_t* row = b + i * ldb;
+    for (std::int64_t j = 0; j < cols; ++j)
+      if (row[j] == std::numeric_limits<std::int16_t>::min()) return true;
   }
-  *min_out = mn;
-  *max_out = mx;
+  return false;
 }
 
 // k-PAIR packers (qmicro8 / qmicro16). A pairs go into int32s (two int16
@@ -318,49 +331,6 @@ void pack_b_pairs(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, i
   }
 }
 
-// k-QUAD packers (qmicro8_maddubs). A bytes carry the +128 offset (the u8
-// side of vpmaddubsw); padding is 128 == offset-domain zero, and the
-// -128 * colsum compensation cancels padded rows' contribution exactly.
-// B bytes are plain int8, zero-padded; colsum[c] accumulates the strip's
-// true column sums for the compensation.
-void pack_a_quads8(const std::int8_t* a, std::int64_t lda, std::int64_t i0, int mr_cur,
-                   std::int64_t k, std::int32_t* ap) {
-  const std::int64_t kq = (k + 3) / 4;
-  std::uint8_t* bytes = reinterpret_cast<std::uint8_t*>(ap);
-  for (std::int64_t q = 0; q < kq; ++q) {
-    for (int r = 0; r < QMR; ++r) {
-      std::uint8_t* dst = bytes + (q * QMR + r) * 4;
-      for (int t = 0; t < 4; ++t) {
-        const std::int64_t kk = 4 * q + t;
-        std::uint8_t v = 128;
-        if (r < mr_cur && kk < k)
-          v = static_cast<std::uint8_t>(static_cast<std::int32_t>(a[(i0 + r) * lda + kk]) + 128);
-        dst[t] = v;
-      }
-    }
-  }
-}
-
-void pack_b_quads8(const std::int8_t* b, std::int64_t ldb, bool trans_b, std::int64_t j0,
-                   int nr_cur, std::int64_t k, std::int8_t* bp, std::int32_t* colsum) {
-  const std::int64_t kq = (k + 3) / 4;
-  for (int c = 0; c < QNR; ++c) colsum[c] = 0;
-  for (std::int64_t q = 0; q < kq; ++q) {
-    std::int8_t* dst = bp + q * 4 * QNR;
-    for (int c = 0; c < QNR; ++c) {
-      for (int t = 0; t < 4; ++t) {
-        const std::int64_t kk = 4 * q + t;
-        std::int8_t v = 0;
-        if (c < nr_cur && kk < k) {
-          v = load_b_elem(b, ldb, trans_b, kk, j0 + c);
-          colsum[c] += v;
-        }
-        dst[c * 4 + t] = v;
-      }
-    }
-  }
-}
-
 // GEMV (n == 1): per-row dot products over contiguous memory, no packing.
 // Strided x (ldb != 1 without trans_b) is compacted into scratch first.
 template <typename T, typename Acc, typename DotFn>
@@ -393,131 +363,25 @@ void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, co
   report_requant_sat(sat.load(std::memory_order_relaxed), ep);
 }
 
-// Matrix drivers. Same task decomposition as qgemm_impl (full-k output
-// tiles, strip-major, A packed once per row of tiles per chunk), so
-// worker-count determinism carries over unchanged.
-enum class PairKernel { kInt8, kInt16 };
-
+// The k-pair vpmaddwd path: the tile driver over pair-packed strips, with
+// the registry's qmicro8 (int32 tile) or qmicro16 (int64 tile) kernel.
 template <typename T, typename Acc>
-void qgemm_pairs_simd(const KernelRegistry& reg, PairKernel which, std::int64_t m,
-                      std::int64_t n, std::int64_t k, const T* a, std::int64_t lda, const T* b,
-                      std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
-                      bool trans_b) {
+void qgemm_pairs(void (*micro)(std::int64_t, const std::int32_t*, const std::int16_t*, Acc*),
+                 std::int64_t m, std::int64_t n, std::int64_t k, const T* a, std::int64_t lda,
+                 const T* b, std::int64_t ldb, void* c, std::int64_t ldc,
+                 const QGemmEpilogue& ep, bool trans_b) {
   const std::int64_t kp = (k + 1) / 2;
-  const std::int64_t n_ir = ceil_div(m, QMR);
-  const std::int64_t n_js = ceil_div(n, QNR);
-  const bool par = 2 * m * n * k >= kSerialMacCutoff;
-
-  std::int16_t* bp = reinterpret_cast<std::int16_t*>(GemmScratch::local().qb(
-      static_cast<std::size_t>(n_js * kp) * 2 * QNR * sizeof(std::int16_t)));
-  const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t js = sb; js < se; ++js) {
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_pairs(b, ldb, trans_b, j0, nr_cur, k, bp + js * kp * 2 * QNR);
-    }
-  };
-  if (par && n_js >= 4)
-    parallel_for_chunked(0, n_js, pack_b_range);
-  else
-    pack_b_range(0, n_js);
-
-  std::atomic<std::int64_t> sat{0};
-  const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    std::int32_t* ap = reinterpret_cast<std::int32_t*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(kp) * QMR * sizeof(std::int32_t)));
-    std::int64_t packed_ir = -1;
-    std::int64_t local_sat = 0;
-    for (std::int64_t t = tb; t < te; ++t) {
-      const std::int64_t ir = t / n_js;
-      const std::int64_t js = t % n_js;
-      const std::int64_t i0 = ir * QMR;
-      const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
-      if (ir != packed_ir) {
+  qgemm_tiles<T, Acc, std::int32_t, std::int16_t>(
+      m, n, k, kp * QMR, kp * 2 * QNR, c, ldc, ep,
+      [&](std::int64_t i0, int mr_cur, std::int32_t* ap) {
         pack_a_pairs(a, lda, i0, mr_cur, k, ap);
-        packed_ir = ir;
-      }
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      alignas(32) Acc acc[QMR][QNR] = {};
-      if (which == PairKernel::kInt8)
-        reg.qmicro8(kp, ap, bp + js * kp * 2 * QNR,
-                    reinterpret_cast<std::int32_t*>(&acc[0][0]));
-      else
-        reg.qmicro16(kp, ap, bp + js * kp * 2 * QNR,
-                     reinterpret_cast<std::int64_t*>(&acc[0][0]));
-      local_sat += store_tile<T>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
-    }
-    if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
-  };
-  if (par)
-    parallel_for_chunked(0, n_ir * n_js, tile_range);
-  else
-    tile_range(0, n_ir * n_js);
-  report_requant_sat(sat.load(std::memory_order_relaxed), ep);
-}
-
-void qgemm_quads_simd(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                      std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
-                      bool trans_b) {
-  const std::int64_t kq = (k + 3) / 4;
-  const std::int64_t n_ir = ceil_div(m, QMR);
-  const std::int64_t n_js = ceil_div(n, QNR);
-  const bool par = 2 * m * n * k >= kSerialMacCutoff;
-
-  // One arena block: quad-packed strips, then the per-strip column sums
-  // the compensation init needs.
-  const std::size_t quads_bytes = static_cast<std::size_t>(n_js * kq) * 4 * QNR;
-  unsigned char* raw =
-      GemmScratch::local().qb(quads_bytes + static_cast<std::size_t>(n_js) * QNR *
-                                                sizeof(std::int32_t));
-  std::int8_t* bq = reinterpret_cast<std::int8_t*>(raw);
-  std::int32_t* colsums = reinterpret_cast<std::int32_t*>(raw + quads_bytes);
-  const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t js = sb; js < se; ++js) {
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_quads8(b, ldb, trans_b, j0, nr_cur, k, bq + js * kq * 4 * QNR,
-                    colsums + js * QNR);
-    }
-  };
-  if (par && n_js >= 4)
-    parallel_for_chunked(0, n_js, pack_b_range);
-  else
-    pack_b_range(0, n_js);
-
-  std::atomic<std::int64_t> sat{0};
-  const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    std::int32_t* ap = reinterpret_cast<std::int32_t*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(kq) * QMR * sizeof(std::int32_t)));
-    std::int64_t packed_ir = -1;
-    std::int64_t local_sat = 0;
-    for (std::int64_t t = tb; t < te; ++t) {
-      const std::int64_t ir = t / n_js;
-      const std::int64_t js = t % n_js;
-      const std::int64_t i0 = ir * QMR;
-      const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
-      if (ir != packed_ir) {
-        pack_a_quads8(a, lda, i0, mr_cur, k, ap);
-        packed_ir = ir;
-      }
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      const std::int32_t* cs = colsums + js * QNR;
-      alignas(32) std::int32_t acc[QMR][QNR];
-      for (int r = 0; r < QMR; ++r)
-        for (int cc = 0; cc < QNR; ++cc) acc[r][cc] = -128 * cs[cc];
-      reg.qmicro8_maddubs(kq, ap, bq + js * kq * 4 * QNR, &acc[0][0]);
-      local_sat += store_tile<std::int8_t>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
-    }
-    if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
-  };
-  if (par)
-    parallel_for_chunked(0, n_ir * n_js, tile_range);
-  else
-    tile_range(0, n_ir * n_js);
-  report_requant_sat(sat.load(std::memory_order_relaxed), ep);
+      },
+      [&](std::int64_t j0, int nr_cur, std::int16_t* bp) {
+        pack_b_pairs(b, ldb, trans_b, j0, nr_cur, k, bp);
+      },
+      [&](const std::int32_t* ap, const std::int16_t* bp, Acc acc[QMR][QNR]) {
+        micro(kp, ap, bp, &acc[0][0]);
+      });
 }
 
 // Top-level SIMD dispatch per type. Returns false when the generic
@@ -527,27 +391,13 @@ bool qgemm8_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8
                  std::int64_t lda, const std::int8_t* b, std::int64_t ldb, void* c,
                  std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
   const KernelRegistry& reg = kernel_registry();
-  if (k <= 0) return false;
-  if (n == 1 && reg.qdot8 != nullptr) {
-    count_qgemm_kernel(&QGemmCounters::k_gemv);
+  if (k <= 0 || reg.qmicro8 == nullptr) return false;
+  count_qgemm_kernel(n == 1 ? &QGemmCounters::k_gemv : &QGemmCounters::k_madd);
+  if (n == 1)
     qgemv_simd<std::int8_t, std::int32_t>(m, k, a, lda, b, ldb, trans_b, c, ldc, ep, reg.qdot8);
-    return true;
-  }
-  if (reg.qmicro8 == nullptr) return false;
-  if (reg.qmicro8_maddubs != nullptr && k <= (std::int64_t{1} << 16)) {
-    // vpmaddubsw fast path: safe only when every |b| <= 64 (no 16-bit
-    // saturation) — true for plans whose B-side format is <= 7 bits.
-    std::int32_t bmin = 0, bmax = 0;
-    scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
-    if (bmin >= -64 && bmax <= 64) {
-      count_qgemm_kernel(&QGemmCounters::k_maddubs);
-      qgemm_quads_simd(reg, m, n, k, a, lda, b, ldb, c, ldc, ep, trans_b);
-      return true;
-    }
-  }
-  count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_pairs_simd<std::int8_t, std::int32_t>(reg, PairKernel::kInt8, m, n, k, a, lda, b, ldb,
-                                              c, ldc, ep, trans_b);
+  else
+    qgemm_pairs<std::int8_t, std::int32_t>(reg.qmicro8, m, n, k, a, lda, b, ldb, c, ldc, ep,
+                                           trans_b);
   return true;
 }
 
@@ -555,29 +405,15 @@ bool qgemm16_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int
                   std::int64_t lda, const std::int16_t* b, std::int64_t ldb, void* c,
                   std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
   const KernelRegistry& reg = kernel_registry();
-  if (k <= 0) return false;
-  // The single vpmaddwd overflow case needs a (-32768, -32768) pair in
-  // BOTH operands; excluding -32768 from the B side makes it unreachable.
-  if (n == 1 && reg.qdot16 != nullptr) {
-    const std::int64_t x_stride = trans_b ? 1 : ldb;
-    bool has_min = false;
-    for (std::int64_t kk = 0; kk < k && !has_min; ++kk)
-      has_min = b[kk * x_stride] == std::numeric_limits<std::int16_t>::min();
-    if (!has_min) {
-      count_qgemm_kernel(&QGemmCounters::k_gemv);
-      qgemv_simd<std::int16_t, std::int64_t>(m, k, a, lda, b, ldb, trans_b, c, ldc, ep,
-                                             reg.qdot16);
-      return true;
-    }
-    return false;
-  }
-  if (reg.qmicro16 == nullptr) return false;
-  std::int32_t bmin = 0, bmax = 0;
-  scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
-  if (bmin == std::numeric_limits<std::int16_t>::min()) return false;
-  count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_pairs_simd<std::int16_t, std::int64_t>(reg, PairKernel::kInt16, m, n, k, a, lda, b, ldb,
-                                               c, ldc, ep, trans_b);
+  if (k <= 0 || reg.qmicro16 == nullptr) return false;
+  if (b_has_int16_min(b, ldb, trans_b, n, k)) return false;
+  count_qgemm_kernel(n == 1 ? &QGemmCounters::k_gemv : &QGemmCounters::k_madd);
+  if (n == 1)
+    qgemv_simd<std::int16_t, std::int64_t>(m, k, a, lda, b, ldb, trans_b, c, ldc, ep,
+                                           reg.qdot16);
+  else
+    qgemm_pairs<std::int16_t, std::int64_t>(reg.qmicro16, m, n, k, a, lda, b, ldb, c, ldc, ep,
+                                            trans_b);
   return true;
 }
 
@@ -684,7 +520,7 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
                       static_cast<const std::int8_t*>(b), ldb, c, ldc, ep, trans_b))
         return;
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int8_t, std::int32_t>(m, n, k, static_cast<const std::int8_t*>(a), lda,
+      qgemm_generic<std::int8_t, std::int32_t>(m, n, k, static_cast<const std::int8_t*>(a), lda,
                                             static_cast<const std::int8_t*>(b), ldb, c, ldc, ep,
                                             trans_b);
       break;
@@ -693,13 +529,13 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
                        static_cast<const std::int16_t*>(b), ldb, c, ldc, ep, trans_b))
         return;
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int16_t, std::int64_t>(m, n, k, static_cast<const std::int16_t*>(a), lda,
+      qgemm_generic<std::int16_t, std::int64_t>(m, n, k, static_cast<const std::int16_t*>(a), lda,
                                              static_cast<const std::int16_t*>(b), ldb, c, ldc, ep,
                                              trans_b);
       break;
     case QType::kInt32:
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int32_t, std::int64_t>(m, n, k, static_cast<const std::int32_t*>(a), lda,
+      qgemm_generic<std::int32_t, std::int64_t>(m, n, k, static_cast<const std::int32_t*>(a), lda,
                                              static_cast<const std::int32_t*>(b), ldb, c, ldc, ep,
                                              trans_b);
       break;

@@ -271,6 +271,20 @@ ClusterConfig chaos_cluster_config() {
   return cfg;
 }
 
+// Capacity weights 10^6 : 10^3 : 1 make the lower-id replica of any key
+// outrank the other 1000-fold in weighted least-loaded selection, so it
+// is the primary whatever queue and in-flight counts a loaded host leaves
+// stale. Tests that stall or kill the primary target this node.
+ClusterConfig pin_primary(ClusterConfig cfg) {
+  cfg.node_weights = {1e6, 1e3, 1.0};
+  return cfg;
+}
+
+int pinned_primary(const ClusterController& cluster, const PlanKey& key) {
+  const std::vector<int> r = cluster.replicas_for_hash(key.net_hash);
+  return *std::min_element(r.begin(), r.end());
+}
+
 PlanQuery query_for(const ClusterFixture& f, double target, bool energy) {
   PlanQuery q;
   q.accuracy_target = target;
@@ -394,7 +408,7 @@ TEST(Cluster, PoisonedCacheEntriesAreDetectedAndRecomputedIdentically) {
 
 TEST(Cluster, StragglerIsHedgedAndFirstResponseWins) {
   const ClusterFixture& f = fixture();
-  ClusterConfig cfg = quiet_cluster_config();
+  ClusterConfig cfg = pin_primary(quiet_cluster_config());
   cfg.hedge_delay_us = 25'000;  // hedge quickly; everything is pre-warmed
   ClusterController cluster(cfg, cluster_service_config());
   const PlanKey key = cluster.register_network(f.model.net, f.model.analyzed, *f.dataset);
@@ -404,19 +418,20 @@ TEST(Cluster, StragglerIsHedgedAndFirstResponseWins) {
   const ClusterQueryResult r0 = cluster.plan(key, q);
   ASSERT_TRUE(r0.ok) << r0.error;
 
-  // Stall the node that just served (the idle-tie primary) far past the
-  // hedge threshold; the hedge to the other replica must win.
+  // Stall the pinned primary far past the hedge threshold; the hedge to
+  // the other replica must win.
+  const int primary = pinned_primary(cluster, key);
   FaultSchedule s;
   s.kind = FaultKind::kDelay;
   s.delay_us = 3'000'000;
-  cluster.faults().arm(cluster.node(r0.node).fault_point(), s);
+  cluster.faults().arm(cluster.node(primary).fault_point(), s);
   const ClusterQueryResult r1 = cluster.plan(key, q);
-  cluster.faults().disarm(cluster.node(r0.node).fault_point());
+  cluster.faults().disarm(cluster.node(primary).fault_point());
 
   ASSERT_TRUE(r1.ok) << r1.error;
   EXPECT_GE(r1.hedges, 1);
   EXPECT_TRUE(r1.hedge_won);
-  EXPECT_NE(r1.node, r0.node);
+  EXPECT_NE(r1.node, primary);
   EXPECT_LT(r1.wall_ms, 2900.0);  // did not wait out the straggler
   expect_plan_identical(r1.plan, r0.plan);
   EXPECT_GE(cluster.stats().hedge_wins, 1);
@@ -424,13 +439,15 @@ TEST(Cluster, StragglerIsHedgedAndFirstResponseWins) {
 
 TEST(Cluster, KilledNodeFailsOverTripsBreakerAndRecovers) {
   const ClusterFixture& f = fixture();
-  ClusterController cluster(chaos_cluster_config(), cluster_service_config());
+  ClusterController cluster(pin_primary(chaos_cluster_config()), cluster_service_config());
   const PlanKey key = cluster.register_network(f.model.net, f.model.analyzed, *f.dataset);
   const PlanQuery q = query_for(f, 0.02, false);
   warm_replicas(cluster, key, {q});
   const ClusterQueryResult r0 = cluster.plan(key, q);
   ASSERT_TRUE(r0.ok) << r0.error;
-  const int victim = r0.node;
+  // The pinned primary stays first choice while dead, so each query parks
+  // a dispatch on it (a breaker failure once swept) and fails over by hedge.
+  const int victim = pinned_primary(cluster, key);
 
   cluster.kill_node(victim);
   for (int i = 0; i < 6; ++i) {

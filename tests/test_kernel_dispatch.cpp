@@ -96,7 +96,6 @@ TEST(KernelDispatch, RegistryGeometryDrivesBlocking) {
       EXPECT_EQ(reg.quantize8, nullptr);
     } else {
       EXPECT_NE(reg.qmicro8, nullptr);
-      EXPECT_NE(reg.qmicro8_maddubs, nullptr);
       EXPECT_NE(reg.qmicro16, nullptr);
       EXPECT_NE(reg.qdot8, nullptr);
       EXPECT_NE(reg.qdot16, nullptr);

@@ -543,6 +543,9 @@ ClusterConfig chaos_cluster_config() {
   cfg.max_attempts = 6;
   cfg.breaker.failure_threshold = 1;
   cfg.breaker.cooldown_us = 60'000'000;  // stays open; no flapping mid-test
+  // Weights 10^6 : 10^3 : 1 pin the lower-id replica as every query's
+  // primary, whatever load counts a busy host leaves stale.
+  cfg.node_weights = {1e6, 1e3, 1.0};
   return cfg;
 }
 
@@ -588,21 +591,24 @@ TEST(TelemetryChaos, EveryRequestHasAConnectedTraceOrATerminalFlightRecord) {
   cluster_results.push_back(cluster.plan(key, q));
   ASSERT_TRUE(cluster_results[0].ok) << cluster_results[0].error;
 
-  // Straggler: stall the node that just served far past the hedge delay;
-  // the hedge to the other replica must win.
+  // Straggler: stall the pinned primary far past the hedge delay; the
+  // hedge to the other replica must win.
+  const std::vector<int> replicas = cluster.replicas_for_hash(key.net_hash);
+  const int primary = *std::min_element(replicas.begin(), replicas.end());
   FaultSchedule stall;
   stall.kind = FaultKind::kDelay;
   stall.delay_us = 3'000'000;
-  cluster.faults().arm(cluster.node(cluster_results[0].node).fault_point(), stall);
+  cluster.faults().arm(cluster.node(primary).fault_point(), stall);
   cluster_results.push_back(cluster.plan(key, q));
-  cluster.faults().disarm(cluster.node(cluster_results[0].node).fault_point());
+  cluster.faults().disarm(cluster.node(primary).fault_point());
   ASSERT_TRUE(cluster_results[1].ok) << cluster_results[1].error;
   EXPECT_GE(cluster_results[1].hedges, 1);
   EXPECT_TRUE(cluster_results[1].hedge_won);
   exporter.flush(tel_now += 1'000'000);
 
-  // Kill the hedge winner; queries must fail over to surviving replicas.
-  const int victim = cluster_results[1].node;
+  // Kill the primary; it stays first choice, so every query parks a
+  // dispatch on it and must fail over to the surviving replica.
+  const int victim = primary;
   cluster.kill_node(victim);
   for (int i = 0; i < 4; ++i) {
     cluster_results.push_back(cluster.plan(key, q));
